@@ -33,7 +33,7 @@ def test_fuzzer_throughput(benchmark):
 
     fuzzer = _build_fuzzer(
         "uCFuzz.s", generate_seeds(40), 2024, True, incremental=True,
-        session=True, fuse_passes=True, batch_compile=True,
+        session=True, fuse_passes=True, batch_compile=True, flat_native=False,
     )
     benchmark(fuzzer.step)
 

@@ -85,7 +85,7 @@ class Compiler:
         session: CompileSession | None = None,
         fuse_passes: bool = False,
         flat_ir: bool = False,
-        flat_native: bool = False,
+        flat_native: bool = True,
     ) -> None:
         assert personality in ("gcc-sim", "clang-sim")
         self.personality = personality
@@ -101,21 +101,19 @@ class Compiler:
         #: Run the fused single-walk -O1 round instead of the sequential
         #: five-pass loop (bit-identical observable behaviour).
         self.fuse_passes = fuse_passes
-        #: Run the local optimizer rounds over the flat slotted
-        #: :class:`~repro.compiler.flatir.IRBuffer` instead of the object IR
-        #: (bit-identical observable behaviour; takes precedence over
-        #: ``fuse_passes`` for pass selection).
-        self.flat_ir = flat_ir or flat_native
+        #: Explicitly requested flat local rounds (see :attr:`flat_ir`).
+        self._flat_ir = flat_ir
         #: Keep the whole middle end buffer-native: irgen emits
         #: :class:`~repro.compiler.flatir.IRBuffer` rows directly, inlining/
         #: strlen/vectorize run their flat ports, the backend walks the live
-        #: buffer, and journal replay serves buffer snapshots.  Implies
-        #: ``flat_ir``; bit-identical observable behaviour.
+        #: buffer, and journal replay serves buffer snapshots.  The default
+        #: production path; ``flat_native=False`` selects the object-IR
+        #: reference pipeline.  Bit-identical observable behaviour.
         self.flat_native = flat_native
-        #: Object<->buffer bridge crossings charged to this compiler
-        #: (``flat_encodes``/``flat_decodes`` in ``stats_snapshot``).  Like
-        #: ``fused_pass_runs``, deliberately outside the compared
-        #: feature/stats space.
+        #: Object<->buffer bridge crossings charged to this compiler.  Read
+        #: from here (bench gates, the campaign-end telemetry event), never
+        #: copied into fuzzer stats: they stay outside the compared
+        #: feature/stats space, whichever middle end runs.
         self.bridge = BridgeCounters()
         #: Fused fixpoint loops executed (deliberately outside the compared
         #: feature/stats space — see ``OptContext.fused_runs``).
@@ -133,6 +131,22 @@ class Compiler:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Compiler {self.name}>"
+
+    @property
+    def flat_ir(self) -> bool:
+        """Run the local optimizer rounds over the flat slotted
+        :class:`~repro.compiler.flatir.IRBuffer` instead of the object IR.
+
+        True when requested or implied by ``flat_native``, so turning
+        ``flat_native`` off falls back to whatever was explicitly asked for
+        (bit-identical observable behaviour; takes precedence over
+        ``fuse_passes`` for pass selection).
+        """
+        return self._flat_ir or self.flat_native
+
+    @flat_ir.setter
+    def flat_ir(self, value: bool) -> None:
+        self._flat_ir = value
 
     # ------------------------------------------------------------------
 
@@ -153,8 +167,9 @@ class Compiler:
         reuse and function-granular middle-end replay.  ``session`` (default:
         the compiler's own) interns per-function middle-end artifacts across
         compiles; pass ``session=None`` explicitly to force a session-less
-        run.  ``paranoid=True`` cross-checks every cached/incremental/
-        session-served compile against a from-scratch one and raises
+        run.  ``paranoid=True`` cross-checks every compile off the
+        reference path (cached, incremental, session-served or flat) against
+        a cold ``flat_native=False`` one and raises
         ``IncrementalDivergence`` on any observable mismatch.
         """
         session = self.session if session is _SESSION_DEFAULT else session
@@ -197,21 +212,21 @@ class Compiler:
         if "backend" in stages:
             cost += 0.01 + 0.20 * u
         result.cost = cost
-        if paranoid and (cache is not None or session is not None):
-            # The reference runs on the object IR even when this compiler is
-            # flat, so every paranoid check doubles as a flat-vs-object
+        if paranoid and (
+            cache is not None or session is not None or self.flat_ir
+        ):
+            # Any compile off the reference path — cached, session-served or
+            # flat, cold ones included — is checked against a cold object-IR
+            # compile, so every paranoid check doubles as a flat-vs-object
             # differential on top of the cached-vs-fresh one.
-            flat_prev = self.flat_ir
-            flat_native_prev = self.flat_native
-            self.flat_ir = False
-            self.flat_native = False
+            flat_prev = self._flat_ir, self.flat_native
+            self._flat_ir = self.flat_native = False
             try:
                 reference = self.compile(
                     source_text, opt_level, flags, cache=None, session=None
                 )
             finally:
-                self.flat_ir = flat_prev
-                self.flat_native = flat_native_prev
+                self._flat_ir, self.flat_native = flat_prev
             if session is not None:
                 session.paranoid_checks += 1
             assert_results_equal(result, reference)

@@ -109,13 +109,24 @@ def make_fuzzer(
     session: bool = False,
     fuse_passes: bool = False,
     flat_ir: bool = False,
-    flat_native: bool = False,
+    flat_native: bool | None = None,
     batch_compile: bool = False,
     scheduler: "MutatorScheduler | None" = None,
     mutator_stats: bool | None = None,
     telemetry: TelemetrySession | None = None,
 ) -> Fuzzer:
-    """Instantiate one of the six evaluated fuzzers by its paper name."""
+    """Instantiate one of the six evaluated fuzzers by its paper name.
+
+    ``flat_ir``/``flat_native`` set the compiler's middle end for every
+    fuzzer kind, the generator baselines included: ``flat_native=False``
+    selects the object-IR reference, ``True`` the buffer-native production
+    path, and ``None`` keeps the compiler's own setting (buffer-native by
+    default).
+    """
+    if flat_ir:
+        compiler.flat_ir = True
+    if flat_native is not None:
+        compiler.flat_native = flat_native
     quarantine = (
         MutatorQuarantine(quarantine_threshold)
         if quarantine_threshold is not None
@@ -131,7 +142,6 @@ def make_fuzzer(
             quarantine=quarantine, cache_maxsize=cache_maxsize,
             incremental=incremental, paranoid=paranoid,
             session=session_arg, fuse_passes=fuse_passes,
-            flat_ir=flat_ir, flat_native=flat_native,
             batch_compile=batch_compile,
             scheduler=scheduler, mutator_stats=mutator_stats,
         )
@@ -141,7 +151,6 @@ def make_fuzzer(
             quarantine=quarantine, cache_maxsize=cache_maxsize,
             incremental=incremental, paranoid=paranoid,
             session=session_arg, fuse_passes=fuse_passes,
-            flat_ir=flat_ir, flat_native=flat_native,
             batch_compile=batch_compile,
             scheduler=scheduler, mutator_stats=mutator_stats,
         )
@@ -227,10 +236,14 @@ def run_campaign(
     # wall-clock profile (profile_snapshot() carries it), so no caller has
     # to strip timing keys to keep serial==parallel comparisons honest.
     result.stats = fuzzer.stats_snapshot()
+    # IR bridge crossings come straight from the compiler: observable in
+    # the event stream (and the triage report), never in compared stats.
+    bridge = fuzzer.compiler.bridge
     telem.emit(
         "campaign", "end",
         compiled=result.compiled, total=result.total,
         crashes=len(result.crashes), final_coverage=result.final_coverage,
+        flat_encodes=bridge.encodes, flat_decodes=bridge.decodes,
     )
     telem.flush()
     return result
@@ -259,8 +272,10 @@ class Campaign:
     #: Run the optimizer's local rounds over the flat slotted IR buffer.
     flat_ir: bool = False
     #: Keep the whole middle end buffer-native — buffer-direct irgen, flat
-    #: inlining, buffer-served journal replay (implies ``flat_ir``).
-    flat_native: bool = False
+    #: inlining, buffer-served journal replay (implies ``flat_ir``).  The
+    #: production default; ``False`` runs every cell on the object-IR
+    #: reference pipeline.
+    flat_native: bool = True
     #: Compile each μCFuzz step's attempt set as one session batch.
     batch_compile: bool = False
     #: Evolutionary mutator scheduling: give each μCFuzz cell a

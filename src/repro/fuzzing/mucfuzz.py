@@ -51,7 +51,7 @@ class MuCFuzz(CoverageGuidedFuzzer):
         session: "CompileSession | bool | None" = None,
         fuse_passes: bool = False,
         flat_ir: bool = False,
-        flat_native: bool = False,
+        flat_native: bool | None = None,
         batch_compile: bool = False,
         scheduler: MutatorScheduler | None = None,
         mutator_stats: bool | None = None,
@@ -75,10 +75,11 @@ class MuCFuzz(CoverageGuidedFuzzer):
             compiler.fuse_passes = True
         if flat_ir:
             compiler.flat_ir = True
-        if flat_native:
-            # Buffer-native middle end; implies the flat pass set.
-            compiler.flat_native = True
-            compiler.flat_ir = True
+        # Like ``session``: ``None`` keeps the compiler's own middle end
+        # (buffer-native by default); ``False`` selects the object-IR
+        # reference, ``True`` the buffer-native production path.
+        if flat_native is not None:
+            compiler.flat_native = flat_native
         #: Compile each step's mutation attempts as one batch against the
         #: session (parent materialized once); requires a session.
         self.batch_compile = batch_compile and self.session is not None
@@ -134,13 +135,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
         if self.session is not None:
             self.stats.update(self.session.stats())
         self.stats["fused_pass_runs"] = self.compiler.fused_pass_runs
-        bridge = getattr(self.compiler, "bridge", None)
-        if bridge is not None and getattr(self.compiler, "flat_ir", False):
-            # Object<->buffer bridge crossings: a flat-native campaign at
-            # steady state holds both at zero.  Only surfaced for the flat
-            # arms so non-flat cells keep their pinned stats schema.
-            self.stats["flat_encodes"] = bridge.encodes
-            self.stats["flat_decodes"] = bridge.decodes
         snap = super().stats_snapshot()
         if self.cache is not None:
             snap.update(self.cache.stats())

@@ -114,8 +114,9 @@ class CellSpec:
     fuse_passes: bool = False
     #: Run the optimizer's local rounds over the flat slotted IR buffer.
     flat_ir: bool = False
-    #: Keep the whole middle end buffer-native (implies ``flat_ir``).
-    flat_native: bool = False
+    #: Keep the whole middle end buffer-native (implies ``flat_ir``); the
+    #: default.  ``False`` runs the cell on the object-IR reference.
+    flat_native: bool = True
     #: Compile each μCFuzz step's attempt set as one session batch.
     batch_compile: bool = False
     #: Evolutionary mutator scheduling: the worker builds a
@@ -161,7 +162,9 @@ def cell_key(spec: CellSpec) -> str:
         spec.paranoid,
         spec.session,
         spec.fuse_passes,
-        spec.flat_ir,
+        # The path that runs: flat_native implies flat_ir, so a flat-native
+        # cell keys the same whether or not flat_ir was also requested.
+        spec.flat_ir or spec.flat_native,
         spec.flat_native,
         spec.batch_compile,
         spec.schedule,

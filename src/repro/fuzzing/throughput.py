@@ -12,11 +12,13 @@ rounds running over the flat slotted
 :class:`~repro.compiler.flatir.IRBuffer`), and flat-native (the whole
 middle end buffer-native: buffer-direct irgen, flat inlining/strlen/
 vectorize, and buffer-served journal replay — the object IR is never
-constructed on the hot path, gated by ``flat_decodes == 0``) — and the
-steps/sec ratios, cache hit-rates, and per-stage timing breakdown are
-written to ``BENCH_throughput.json`` so successive PRs accumulate a perf
-trajectory.  All runs must land on identical final coverage and pool sizes:
-the speedup changes no observable result.
+constructed on the hot path, gated by zero ``compiler.bridge`` decodes) —
+and the steps/sec ratios, cache hit-rates, and per-stage timing breakdown
+are written to ``BENCH_throughput.json`` so successive PRs accumulate a
+perf trajectory.  All runs must land on identical final coverage and pool
+sizes: the speedup changes no observable result.  Flat-native is the
+library's default middle end, so every other arm is built with an explicit
+``flat_native=False`` and measures the object-IR path it is named after.
 
 Entry points:
 
@@ -25,7 +27,10 @@ Entry points:
   step budget that asserts the caches are actually hitting (tier-2 CI);
 * ``paranoid-smoke`` / :func:`paranoid_main` — a paranoid-mode run where
   every incremental compile is differentially checked against a
-  from-scratch compile; any divergence raises.
+  from-scratch compile; any divergence raises;
+* :func:`paranoid_cold_main` — the same differential over cold,
+  session-less compiles of fresh Csmith-style programs (the generator
+  baselines' path), under both personalities.
 """
 
 from __future__ import annotations
@@ -63,15 +68,18 @@ def _build_fuzzer(
     seeds: list[str],
     seed: int,
     use_cache: bool,
+    *,
+    flat_native: bool,
     incremental: bool = False,
     paranoid: bool = False,
     cache_maxsize: int | None = None,
     session: bool = False,
     fuse_passes: bool = False,
     flat_ir: bool = False,
-    flat_native: bool = False,
     batch_compile: bool = False,
 ):
+    # ``flat_native`` has no default: an arm pins the object IR explicitly
+    # instead of inheriting the compiler's buffer-native default.
     import repro.mutators  # noqa: F401  (populate the registry)
     from repro.compiler.driver import Compiler, GCC_SIM
     from repro.fuzzing.mucfuzz import MuCFuzz
@@ -173,6 +181,11 @@ def measure_throughput(
             flat_native=flat_native, batch_compile=session,
         )
         report[label] = _time_run(fuzzer, steps)
+        # Read off the compiler: bridge crossings stay out of the stats.
+        bridge = fuzzer.compiler.bridge
+        report[label]["bridge"] = {
+            "encodes": bridge.encodes, "decodes": bridge.decodes,
+        }
     for label in ("cached", "incremental", "session", "flat_ir", "flat_native"):
         assert (
             report[label]["final_coverage"]
@@ -251,7 +264,7 @@ def run(steps: int, output: str | Path, fuzzer_name: str = "uCFuzz.s") -> dict:
         f"(flat-native speedup {report['speedup_flat_native']}x over "
         f"uncached, {report['speedup_flat_native_vs_flat_ir']}x over "
         f"flat-ir, flat decodes "
-        f"{report['flat_native']['stats'].get('flat_decodes', 0)}, "
+        f"{report['flat_native']['bridge']['decodes']}, "
         f"cache hit-rate {report['cache_hit_rate']:.2%}, "
         f"session hit-rate {report['session_hit_rate']:.2%}) -> {path}"
     )
@@ -301,10 +314,11 @@ def smoke_main(argv: list[str] | None = None) -> int:
     # The bridge-elimination contract: a flat-native run never decodes a
     # buffer back to object IR on the hot path (encodes would mean irgen
     # fell back to object emission somewhere).
-    if flat_native_stats.get("flat_decodes", 0) != 0:
+    decodes = report["flat_native"]["bridge"]["decodes"]
+    if decodes != 0:
         raise SystemExit(
             "bench-smoke: the flat-native arm crossed the IR bridge "
-            f"({flat_native_stats.get('flat_decodes')} decodes)"
+            f"({decodes} decodes)"
         )
     # Arm ordering: each optimization layer must not make the pipeline
     # slower.  A tiny step budget is noisy, so the gate is a generous slack
@@ -380,6 +394,8 @@ def paranoid_main(argv: list[str] | None = None) -> int:
         mode = "flat-native+" + mode
     elif args.flat_ir:
         mode = "flat-ir+" + mode
+    else:
+        mode = "object+" + mode
     print(
         f"paranoid-smoke[{mode}]: {args.steps} steps, 0 divergences, "
         f"{stats.get('cache_paranoid_checks', 0)} front-end checks, "
@@ -400,6 +416,49 @@ def paranoid_main(argv: list[str] | None = None) -> int:
         raise SystemExit(
             "paranoid-smoke: the incremental middle end was never exercised"
         )
+    return 0
+
+
+def paranoid_cold_main(argv: list[str] | None = None) -> int:
+    """Differential smoke over cold generator compiles.
+
+    Compiles ``--programs`` fresh Csmith-style programs per personality the
+    way the generator baselines do — no cache, no session, the default
+    buffer-native middle end — with ``paranoid=True``, so each compile is
+    checked against a cold ``flat_native=False`` object-IR compile and any
+    divergence raises.
+    """
+    parser = argparse.ArgumentParser(description="paranoid-cold-smoke")
+    parser.add_argument("--programs", type=int, default=100)
+    parser.add_argument("--seed", type=int, default=2024)
+    args = parser.parse_args(argv)
+    from repro.compiler.driver import CLANG_SIM, GCC_SIM, Compiler
+    from repro.fuzzing.baselines.csmith import CSMITH_POLICY
+    from repro.fuzzing.progen import ProgramGenerator
+
+    for personality in (GCC_SIM, CLANG_SIM):
+        compiler = Compiler(*personality)
+        if not compiler.flat_native:
+            raise SystemExit("paranoid-cold-smoke: default is not flat-native")
+        rng = random.Random(f"{args.seed}:{compiler.name}")
+        ok = crashed = 0
+        for _ in range(args.programs):
+            program = ProgramGenerator(
+                random.Random(rng.randrange(1 << 62)), CSMITH_POLICY
+            ).generate()
+            # IncrementalDivergence propagates and fails the job.
+            result = compiler.compile(program, paranoid=True)
+            ok += result.ok
+            crashed += result.crashed
+        print(
+            f"paranoid-cold-smoke[{compiler.name}]: {args.programs} cold "
+            f"generator compiles, 0 divergences, {ok} ok, {crashed} crashed"
+        )
+        if ok <= 0:
+            raise SystemExit(
+                f"paranoid-cold-smoke: no {compiler.name} compile reached "
+                "the back end"
+            )
     return 0
 
 

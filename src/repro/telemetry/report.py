@@ -16,6 +16,8 @@ Usage::
 
     python -m repro.telemetry.report --checkpoint-dir runs/ckpt
     python -m repro.telemetry.report --result result.json --json
+    python -m repro.telemetry.report --checkpoint-dir runs/ckpt \\
+        --telemetry-dir runs/telemetry
 """
 
 from __future__ import annotations
@@ -184,22 +186,38 @@ def render_triggers(
 
 
 #: Compile-pipeline counters surfaced in the text report (when present in
-#: the merged stats): middle-end reuse machinery plus the object<->buffer
-#: bridge crossings — a flat-native campaign holds ``flat_decodes`` at zero.
+#: the merged stats): the middle-end reuse machinery.
 PIPELINE_COUNTERS = (
     "middle_incremental_hits",
     "middle_session_hits",
     "fused_pass_runs",
-    "flat_encodes",
-    "flat_decodes",
 )
+#: Object<->buffer bridge crossings.  They live on ``Compiler.bridge``, not
+#: in result stats; each cell's telemetry stream carries them on its
+#: campaign-end event.  A flat-native campaign holds ``flat_decodes`` at 0.
+BRIDGE_COUNTERS = ("flat_encodes", "flat_decodes")
 
 
-def render_pipeline(stats: dict) -> str:
+def load_bridge(telemetry_dir: str | Path) -> dict:
+    """Bridge crossings summed over the campaign-end events of every
+    per-cell JSONL stream in ``telemetry_dir``."""
+    totals = dict.fromkeys(BRIDGE_COUNTERS, 0)
+    for path in sorted(Path(telemetry_dir).glob("*.jsonl")):
+        for line in path.read_text().splitlines():
+            event = json.loads(line)
+            if event["kind"] == "campaign" and event["name"] == "end":
+                fields = event.get("fields", {})
+                for key in BRIDGE_COUNTERS:
+                    totals[key] += fields.get(key, 0)
+    return totals
+
+
+def render_pipeline(stats: dict, bridge: "dict | None" = None) -> str:
     lines = [f"{'counter':<26} {'value':>12}", _rule(40)]
     shown = False
-    for key in PIPELINE_COUNTERS:
-        value = stats.get(key)
+    rows = [(key, stats.get(key)) for key in PIPELINE_COUNTERS]
+    rows.extend((bridge or {}).items())
+    for key, value in rows:
         if value is None:
             continue
         shown = True
@@ -210,6 +228,7 @@ def render_pipeline(stats: dict) -> str:
 def render_report(
     results: "list[tuple[str, CampaignResult]]",
     triggers_dir: "str | Path | None" = None,
+    bridge: "dict | None" = None,
 ) -> str:
     crashes = merge_crashes([r for _, r in results])
     pointers = (
@@ -223,7 +242,7 @@ def render_report(
         render_cells(results),
         "",
         "== compile pipeline (middle-end reuse + IR bridge) ==",
-        render_pipeline(merge_stats([r.stats for _, r in results])),
+        render_pipeline(merge_stats([r.stats for _, r in results]), bridge),
         "",
         "== unique crashes by module (Table 6 shape) ==",
         render_census(crashes),
@@ -258,9 +277,15 @@ def main(argv: "list[str] | None" = None) -> int:
         help="write each unique crash's minimized trigger source here",
     )
     parser.add_argument(
+        "--telemetry-dir",
+        help="the grid's per-cell JSONL telemetry directory; adds the IR "
+        "bridge crossings to the compile-pipeline section",
+    )
+    parser.add_argument(
         "--json", action="store_true", help="emit structured JSON instead of text"
     )
     args = parser.parse_args(argv)
+    bridge = load_bridge(args.telemetry_dir) if args.telemetry_dir else None
 
     if args.checkpoint_dir is not None:
         results = load_results(args.checkpoint_dir)
@@ -281,9 +306,11 @@ def main(argv: "list[str] | None" = None) -> int:
             data["triggers"] = write_triggers(
                 merge_crashes([r for _, r in results]), args.triggers_dir
             )
+        if bridge is not None:
+            data["bridge"] = bridge
         print(json.dumps(data, indent=2, sort_keys=True))
     else:
-        print(render_report(results, triggers_dir=args.triggers_dir))
+        print(render_report(results, args.triggers_dir, bridge))
     return 0
 
 

@@ -182,9 +182,9 @@ class TestFlatCompileEquivalence:
     def _compilers(self):
         flat = Compiler(
             *GCC_SIM, cache=FrontendCache(), session=CompileSession(),
-            fuse_passes=True, flat_ir=True,
+            fuse_passes=True, flat_ir=True, flat_native=False,
         )
-        return flat, Compiler(*GCC_SIM)
+        return flat, Compiler(*GCC_SIM, flat_native=False)
 
     def test_seed_corpus(self, small_seeds):
         flat, plain = self._compilers()
@@ -341,7 +341,7 @@ class TestFlatKnobPlumbing:
         base = dict(
             fuzzer_name="uCFuzz.s", personality="gcc-sim", version="14",
             bug_seed=20240427, seeds=tuple(small_seeds[:2]), steps=3,
-            cell_seed=7,
+            cell_seed=7, flat_native=False,
         )
         assert cell_key(CellSpec(**base, flat_ir=True)) != cell_key(
             CellSpec(**base)
@@ -355,7 +355,7 @@ class TestFlatKnobPlumbing:
             fuzzer = MuCFuzz(
                 comp, random.Random(5), list(small_seeds[:6]),
                 registry.supervised(), session=True, fuse_passes=True,
-                flat_ir=flat, batch_compile=True,
+                flat_ir=flat, flat_native=False, batch_compile=True,
             )
             return run_campaign(fuzzer, steps=12)
 

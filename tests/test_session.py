@@ -123,7 +123,7 @@ class TestCompileSession:
     def test_session_compile_matches_cold(self, small_seeds):
         session = CompileSession()
         warm = Compiler(*GCC_SIM, session=session, fuse_passes=True)
-        cold = Compiler(*GCC_SIM)
+        cold = Compiler(*GCC_SIM, flat_native=False)
         for text in small_seeds[:10]:
             assert_results_equal(warm.compile(text), cold.compile(text))
         assert session.misses > 0
@@ -131,7 +131,7 @@ class TestCompileSession:
     def test_session_result_memo_on_recompile(self, small_seeds):
         session = CompileSession()
         warm = Compiler(*GCC_SIM, session=session)
-        cold = Compiler(*GCC_SIM)
+        cold = Compiler(*GCC_SIM, flat_native=False)
         text = small_seeds[0]
         first = warm.compile(text)
         before = session.result_hits
@@ -143,7 +143,7 @@ class TestCompileSession:
     def test_session_hits_on_shared_clean_functions(self, small_seeds):
         session = CompileSession()
         warm = Compiler(*GCC_SIM, session=session, fuse_passes=True)
-        cold = Compiler(*GCC_SIM)
+        cold = Compiler(*GCC_SIM, flat_native=False)
         text = small_seeds[1]
         warm.compile(text)
         mutant = _mutate_body(text)
@@ -194,7 +194,7 @@ class TestCompileBatch:
         requests = [(m, (parent, ((0, 0, ""),))) for m in mutants]
         session = CompileSession()
         batched = Compiler(*GCC_SIM, session=session).compile_batch(requests)
-        cold = Compiler(*GCC_SIM)
+        cold = Compiler(*GCC_SIM, flat_native=False)
         assert len(batched) == len(mutants)
         for result, mutant in zip(batched, mutants):
             assert_results_equal(result, cold.compile(mutant))

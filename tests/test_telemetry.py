@@ -428,6 +428,31 @@ class TestTriageReport:
     def test_cli_empty_checkpoint_dir_fails_cleanly(self, tmp_path):
         assert report_main(["--checkpoint-dir", str(tmp_path / "empty")]) == 1
 
+    def test_bridge_counters_come_from_the_event_stream(
+        self, registry, small_seeds, tmp_path, capsys
+    ):
+        events = tmp_path / "ev"
+        campaign = _campaign(
+            default_compilers(), small_seeds[:6], registry,
+            telemetry_dir=str(events), steps=8,
+        )
+        ckpt = tmp_path / "ckpt"
+        outcomes = campaign.run_resilient(
+            ("uCFuzz.s", "Csmith"), checkpoint_dir=str(ckpt)
+        )
+        assert all(o.ok for o in outcomes)
+        assert all("flat_decodes" not in o.result.stats for o in outcomes)
+        assert report_main(
+            ["--checkpoint-dir", str(ckpt), "--telemetry-dir", str(events),
+             "--json"]
+        ) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["bridge"] == {"flat_encodes": 0, "flat_decodes": 0}
+        assert report_main(
+            ["--checkpoint-dir", str(ckpt), "--telemetry-dir", str(events)]
+        ) == 0
+        assert "flat_decodes" in capsys.readouterr().out
+
 
 # ---------------------------------------------------------------------------
 # CrashLog bookkeeping fixes (the satellites)
