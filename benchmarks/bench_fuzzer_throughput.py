@@ -1,10 +1,10 @@
 """Fuzzer throughput: steps/sec of the μCFuzz hot path, four ways.
 
 Not a paper table — this bench tracks the reproduction's own perf
-trajectory.  It runs the same μCFuzz.s campaign uncached, with the shared
-front-end cache, fully incremental (dirty-region front end plus
-function-granular middle-end replay), and through the cross-step compile
-session (content-keyed middle-end memoization + fused local pass + batched
+trajectory.  It runs the same μCFuzz.s campaign on the object-IR reference
+(no front-end cache), on the flat-native middle end cold (no cache, no
+session), flat-native with the front-end cache and journal middle end, and
+on the production path (flat-native + cache + compile session + batched
 per-step compilation) — identical RNG seed, hence an identical step
 sequence — and records steps/sec, the speedups, cache/session hit-rates,
 and the per-stage timing breakdown (one uniform zero-filled stage-key set
@@ -19,7 +19,12 @@ or with a tiny budget via the ``bench-smoke`` script (tier-2 CI).
 
 import os
 
-from repro.fuzzing.throughput import STAGE_KEYS, measure_throughput, write_report
+from repro.fuzzing.throughput import (
+    ARMS,
+    STAGE_KEYS,
+    measure_throughput,
+    write_report,
+)
 
 #: Pytest-collected runs use a reduced budget; the CLI defaults to 600.
 STEPS = int(os.environ.get("BENCH_THROUGHPUT_STEPS", "150"))
@@ -27,24 +32,24 @@ STEPS = int(os.environ.get("BENCH_THROUGHPUT_STEPS", "150"))
 
 def test_fuzzer_throughput(benchmark):
     report = measure_throughput(steps=STEPS)
-    # Time one representative session step for the pytest-benchmark table.
+    # Time one representative production step for the pytest-benchmark table.
     from repro.fuzzing.seedgen import generate_seeds
     from repro.fuzzing.throughput import _build_fuzzer
 
     fuzzer = _build_fuzzer(
         "uCFuzz.s", generate_seeds(40), 2024, True, incremental=True,
-        session=True, fuse_passes=True, batch_compile=True, flat_native=False,
+        session=True, fuse_passes=True, batch_compile=True, flat_native=True,
     )
     benchmark(fuzzer.step)
 
     write_report(report)
     print(
         f"\nThroughput ({STEPS} steps): "
-        f"{report['uncached']['steps_per_sec']} steps/sec uncached, "
-        f"{report['cached']['steps_per_sec']} steps/sec cached, "
-        f"{report['incremental']['steps_per_sec']} steps/sec incremental, "
-        f"{report['session']['steps_per_sec']} steps/sec session+fused "
-        f"({report['speedup_session']}x, "
+        + ", ".join(
+            f"{report[label]['steps_per_sec']} steps/sec {label}"
+            for label, *_ in ARMS
+        )
+        + f" ({report['speedup']}x, "
         f"cache hit-rate {report['cache_hit_rate']:.2%}, "
         f"session hit-rate {report['session_hit_rate']:.2%})"
     )
@@ -53,18 +58,19 @@ def test_fuzzer_throughput(benchmark):
     # (coverage/pool equality across all four arms is asserted inside
     # measure_throughput).
     assert report["cache_hit_rate"] > 0
-    assert report["incremental"]["stats"]["cache_incremental_hits"] > 0
-    assert report["incremental"]["stats"]["middle_incremental_hits"] > 0
-    assert report["session"]["stats"]["middle_session_hits"] > 0
-    assert report["session"]["stats"]["fused_pass_runs"] > 0
-    assert report["speedup"] > 1.0
-    assert report["speedup_incremental"] > report["speedup"]
+    assert report["session_off"]["stats"]["cache_incremental_hits"] > 0
+    assert report["session_off"]["stats"]["middle_incremental_hits"] > 0
+    assert report["production"]["stats"]["middle_session_hits"] > 0
+    assert report["production"]["stats"]["fused_pass_runs"] > 0
+    assert report["production"]["bridge"]["decodes"] == 0
+    assert report["speedup_session_off"] > 1.0
     # Cross-arm session ordering is budget-dependent (keying overhead
-    # amortizes over steps); the hard floor is beating the uncached arm.
-    assert report["speedup_session"] > 1.0
+    # amortizes over steps); the hard floor is beating the reference.
+    assert report["speedup_production"] > 1.0
     # Uniform per-arm schema: every arm reports the same stage-key set.
-    for arm in ("uncached", "cached", "incremental", "session"):
-        assert set(STAGE_KEYS) <= set(report[arm]["profile"]["stage_timings"])
+    for label, *_ in ARMS:
+        stages = report[label]["profile"]["stage_timings"]
+        assert set(STAGE_KEYS) <= set(stages)
 
 
 if __name__ == "__main__":

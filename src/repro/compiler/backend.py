@@ -113,7 +113,7 @@ def lower_to_asm(
 
 
 def _lower_function(fn: IRFunction, ctx: OptContext) -> BackendResult:
-    if getattr(ctx, "flat", False):
+    if ctx.flat_native:
         return _lower_function_flat(fn, ctx)
     cov = ctx.cov
     instrs = [i for b in fn.blocks for i in b.instrs]
@@ -260,7 +260,7 @@ def _lower_function_flat(fn: IRFunction, ctx: OptContext) -> BackendResult:
     if buffer is not None:  # FlatFunction: walk its live buffer directly
         buf = buffer()
     else:
-        buf = F.from_nodes(fn, getattr(ctx, "bridge", None))
+        buf = F.from_nodes(fn, ctx.bridge)
     names = buf.names
     imms = buf.imms
     opcl, dstl, al, bl, tyl, auxl = buf.opc, buf.dst, buf.a, buf.b, buf.ty, buf.aux

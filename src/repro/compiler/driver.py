@@ -26,13 +26,11 @@ from repro.compiler.flatir import BridgeCounters
 from repro.compiler.incremental import (
     assert_results_equal,
     lower_and_optimize,
-)
-from repro.compiler.ir import IRModule
-from repro.compiler.session import (
-    CompileSession,
-    lower_and_optimize_session,
     middle_memo_key,
 )
+from repro.compiler.ir import IRModule
+from repro.compiler.middle import PlainRun, run_middle
+from repro.compiler.session import CompileSession, lower_and_optimize_session
 from repro.telemetry.spans import Tracer
 
 #: Sentinel for "use the compiler's own session" on per-call overrides.
@@ -84,7 +82,6 @@ class Compiler:
         cache: FrontendCache | None = None,
         session: CompileSession | None = None,
         fuse_passes: bool = False,
-        flat_ir: bool = False,
         flat_native: bool = True,
     ) -> None:
         assert personality in ("gcc-sim", "clang-sim")
@@ -98,17 +95,16 @@ class Compiler:
         #: Optional cross-step middle-end session; ``compile(session=...)``
         #: overrides (``session=None`` there forces a session-less compile).
         self.session = session
-        #: Run the fused single-walk -O1 round instead of the sequential
-        #: five-pass loop (bit-identical observable behaviour).
+        #: Count the flat local round's fused walks in ``fused_pass_runs``.
         self.fuse_passes = fuse_passes
-        #: Explicitly requested flat local rounds (see :attr:`flat_ir`).
-        self._flat_ir = flat_ir
         #: Keep the whole middle end buffer-native: irgen emits
-        #: :class:`~repro.compiler.flatir.IRBuffer` rows directly, inlining/
-        #: strlen/vectorize run their flat ports, the backend walks the live
-        #: buffer, and journal replay serves buffer snapshots.  The default
-        #: production path; ``flat_native=False`` selects the object-IR
-        #: reference pipeline.  Bit-identical observable behaviour.
+        #: :class:`~repro.compiler.flatir.IRBuffer` rows directly, the
+        #: passes run their flat ports, the backend walks the live buffer,
+        #: and a front-end cache or compile session replays buffer records.
+        #: The default production path.  ``flat_native=False`` is the
+        #: object-IR reference: the plain cold pipeline of
+        #: :mod:`repro.compiler.middle`, whatever cache or session the
+        #: compile is handed.  Bit-identical observable behaviour.
         self.flat_native = flat_native
         #: Object<->buffer bridge crossings charged to this compiler.  Read
         #: from here (bench gates, the campaign-end telemetry event), never
@@ -132,22 +128,6 @@ class Compiler:
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Compiler {self.name}>"
 
-    @property
-    def flat_ir(self) -> bool:
-        """Run the local optimizer rounds over the flat slotted
-        :class:`~repro.compiler.flatir.IRBuffer` instead of the object IR.
-
-        True when requested or implied by ``flat_native``, so turning
-        ``flat_native`` off falls back to whatever was explicitly asked for
-        (bit-identical observable behaviour; takes precedence over
-        ``fuse_passes`` for pass selection).
-        """
-        return self._flat_ir or self.flat_native
-
-    @flat_ir.setter
-    def flat_ir(self, value: bool) -> None:
-        self._flat_ir = value
-
     # ------------------------------------------------------------------
 
     def compile(
@@ -167,12 +147,14 @@ class Compiler:
         reuse and function-granular middle-end replay.  ``session`` (default:
         the compiler's own) interns per-function middle-end artifacts across
         compiles; pass ``session=None`` explicitly to force a session-less
-        run.  ``paranoid=True`` cross-checks every compile off the
-        reference path (cached, incremental, session-served or flat) against
-        a cold ``flat_native=False`` one and raises
-        ``IncrementalDivergence`` on any observable mismatch.
+        run.  A ``flat_native=False`` compile runs the plain object-IR
+        middle end and never journals or consults a session.
+        ``paranoid=True`` cross-checks every compile off the reference path
+        (flat-native or front-end cached) against a cold
+        ``flat_native=False`` one and raises ``IncrementalDivergence`` on
+        any observable mismatch.
         """
-        session = self.session if session is _SESSION_DEFAULT else session
+        session = self._session_for(session)
         cov = CoverageMap()
         result = CompileResult(False, self.name, coverage=cov)
         features: dict = {
@@ -182,11 +164,9 @@ class Compiler:
         }
         result.features = features
         cache = cache if cache is not None else self.cache
-        journal: list | None = (
-            [] if cache is not None or session is not None else None
-        )
-        if journal is not None:
-            cov.journal = journal
+        journal: list | None = None
+        if self.flat_native and (cache is not None or session is not None):
+            journal = cov.journal = []
         stages = ["frontend"]
         try:
             self._run_pipeline(
@@ -212,21 +192,19 @@ class Compiler:
         if "backend" in stages:
             cost += 0.01 + 0.20 * u
         result.cost = cost
-        if paranoid and (
-            cache is not None or session is not None or self.flat_ir
-        ):
-            # Any compile off the reference path — cached, session-served or
-            # flat, cold ones included — is checked against a cold object-IR
-            # compile, so every paranoid check doubles as a flat-vs-object
-            # differential on top of the cached-vs-fresh one.
-            flat_prev = self._flat_ir, self.flat_native
-            self._flat_ir = self.flat_native = False
+        if paranoid and (self.flat_native or cache is not None):
+            # Any compile off the reference path — flat-native (cold ones
+            # included) or front-end cached — is checked against a cold
+            # object-IR compile, so every paranoid check doubles as a
+            # flat-vs-object differential on top of the cached-vs-fresh one.
+            flat_native = self.flat_native
+            self.flat_native = False
             try:
                 reference = self.compile(
                     source_text, opt_level, flags, cache=None, session=None
                 )
             finally:
-                self._flat_ir, self.flat_native = flat_prev
+                self.flat_native = flat_native
             if session is not None:
                 session.paranoid_checks += 1
             assert_results_equal(result, reference)
@@ -252,7 +230,7 @@ class Compiler:
         when given, is invoked with each result and truthy return stops the
         batch early (μCFuzz's keep/crash early exit).
         """
-        session = self.session if session is _SESSION_DEFAULT else session
+        session = self._session_for(session)
         cache = cache if cache is not None else self.cache
         results: list[CompileResult] = []
         materialized = False
@@ -264,11 +242,7 @@ class Compiler:
             ):
                 parent_text = edits_from[0]
                 options = middle_memo_key(
-                    self.name,
-                    self.bug_seed,
-                    opt_level,
-                    tuple(flags),
-                    mode="flat-native" if self.flat_native else "",
+                    self.name, self.bug_seed, opt_level, tuple(flags)
                 )
                 if not session.has_result(options, parent_text):
                     # Observationally pure for the caller: the parent was
@@ -290,6 +264,12 @@ class Compiler:
                 break
         return results
 
+    def _session_for(self, session) -> "CompileSession | None":
+        """The session a compile uses: none at all on the object reference."""
+        if not self.flat_native:
+            return None
+        return self.session if session is _SESSION_DEFAULT else session
+
     # ------------------------------------------------------------------
 
     def _run_pipeline(
@@ -300,12 +280,13 @@ class Compiler:
         cov: CoverageMap,
         features: dict,
         result: CompileResult,
-        cache: FrontendCache | None = None,
-        edits_from: tuple[str, tuple] | None = None,
-        paranoid: bool = False,
-        journal: list | None = None,
-        stages: list | None = None,
-        session: "CompileSession | None" = None,
+        cache: FrontendCache | None,
+        *,
+        edits_from: tuple[str, tuple] | None,
+        paranoid: bool,
+        journal: list | None,
+        stages: list,
+        session: "CompileSession | None",
     ) -> None:
         # ---- Front end: lex/parse/sema, shared via the content cache. ----
         # The per-text summary (coverage edges, feature vector, diagnostics)
@@ -337,9 +318,8 @@ class Compiler:
         if entry.unit is None or result.diagnostics:
             return
 
-        # ---- Middle + back end (session- and incremental-aware). ---------
-        if stages is not None:
-            stages.append("middle")
+        # ---- Middle + back end. --------------------------------------------
+        stages.append("middle")
         if session is not None:
             # The session path supersedes the journal/parent-memo machinery:
             # reuse is content-keyed, so it fires across steps and lineages.
@@ -347,11 +327,16 @@ class Compiler:
                 self, session, entry, opt_level, flags, cov, features,
                 result, journal=journal, plan=plan, stages=stages,
             )
-            return
-        lower_and_optimize(
-            self, entry, opt_level, flags, cov, features, result,
-            journal=journal, plan=plan, stages=stages,
-        )
+        elif journal is not None:
+            lower_and_optimize(
+                self, entry, opt_level, flags, cov, features, result,
+                journal=journal, plan=plan, stages=stages,
+            )
+        else:
+            run_middle(
+                self, PlainRun(self, entry, cov, features), opt_level, flags,
+                cov, features, result, stages,
+            )
 
     def _personality_flags(self, flags: tuple[str, ...]) -> tuple[str, ...]:
         extra: tuple[str, ...] = ()

@@ -507,23 +507,18 @@ class FlatFunction:
 class FunctionSnapshot:
     """A cheap point-in-time copy of a function, captured as a buffer.
 
-    Replaces the ``copy.deepcopy(fn)`` snapshots the session/incremental
-    middle ends record for inline candidates: :meth:`of` walks the function
-    once into flat arrays (no per-node deepcopy dispatch) — or, for a
-    buffer-backed :class:`FlatFunction`, just clones the arrays with no
-    bridge crossing at all — and :meth:`materialize` decodes it back on
-    first use and memoizes the result.  Sharing one materialized function
-    across reuses is safe because the inliner deep-copies candidate bodies
-    into callers and never mutates the candidate itself; sharing
-    :attr:`buf` with the flat inliner is safe because buffer splicing only
-    reads the callee arrays.
+    The journal and session middle ends snapshot each inline candidate's
+    post-local-opt body, because later phases mutate the live carrier.
+    :meth:`of` clones a buffer-backed :class:`FlatFunction`'s arrays with no
+    bridge crossing at all, or walks an object ``IRFunction`` once into flat
+    arrays.  Sharing :attr:`buf` with the flat inliner is safe because
+    buffer splicing only reads the callee arrays.
     """
 
-    __slots__ = ("_buf", "_fn")
+    __slots__ = ("_buf",)
 
     def __init__(self, buf: IRBuffer):
         self._buf = buf
-        self._fn = None
 
     @classmethod
     def of(cls, fn, counters: BridgeCounters | None = None) -> "FunctionSnapshot":
@@ -535,8 +530,3 @@ class FunctionSnapshot:
     def buf(self) -> IRBuffer:
         """The snapshot buffer (read-only by convention — never mutate)."""
         return self._buf
-
-    def materialize(self, counters: BridgeCounters | None = None) -> IRFunction:
-        if self._fn is None:
-            self._fn = to_nodes(self._buf, counters)
-        return self._fn

@@ -8,13 +8,17 @@ amount of module-global state, so when the front end hands us an
 only the dirty functions and *replay* everything else from the parent's
 recorded run.
 
-Replay is exact, not approximate.  During every cached middle-end run a
+This journal engine runs for cached flat-native compiles without a compile
+session; the object-IR reference (``flat_native=False``) never journals and
+always takes the plain pipeline of :mod:`repro.compiler.middle`.
+
+Replay is exact, not approximate.  During every journaled middle-end run a
 single ordered **journal** records each observable event — coverage hits
 (``("cov", site, outcome)``), optimizer statistics (``("stat", key, n)``)
 and bug-checkpoint firings (``("check", point, extra)``) — interleaved in
 pipeline order.  The journal is sliced per declaration (IR generation) and
 per (pass-phase, function) (optimization), and those slices are stored in
-``FrontendEntry.memo`` together with the lowered function objects, emitted
+``FrontendEntry.memo`` together with the lowered function carriers, emitted
 globals, statistics deltas and name-counter schedules.  Replaying a clean
 function applies its slices through the same hooks a real run uses, so the
 replayed compile journals itself and produces a memo for *its* children.
@@ -43,22 +47,8 @@ from repro.cast.incremental import IncrementalDivergence
 from repro.compiler.backend import BackendResult, _lower_function, lower_to_asm
 from repro.compiler.flatir import FunctionSnapshot
 from repro.compiler.ir import IRFunction, IRModule
-from repro.compiler.irgen import FlatIRGen, IRGen, LoweringError
-from repro.compiler.passes import (
-    OptContext,
-    cleanup_opt,
-    flat_inline_into_caller,
-    flat_inlinable,
-    flat_loop_vectorize,
-    flat_strlen_opt_fn,
-    inline_candidates,
-    inline_into_caller,
-    local_opt,
-    loop_vectorize,
-    strlen_opt_fn,
-)
-from repro.compiler.passes.inline import _inlinable
-from repro.telemetry.spans import span
+from repro.compiler.middle import irgen_for, run_middle
+from repro.compiler.passes import OptContext, run_pipeline
 
 
 class _MiddleAbort(Exception):
@@ -66,17 +56,10 @@ class _MiddleAbort(Exception):
 
 
 def middle_memo_key(
-    name: str, bug_seed: int, opt_level: int, flags: tuple, mode: str = ""
+    name: str, bug_seed: int, opt_level: int, flags: tuple
 ) -> str:
-    """Memo key for one (personality, bug seed, options) middle-end run.
-
-    ``mode`` keys the function-carrier representation: flat-native runs
-    store :class:`~repro.compiler.flatir.FlatFunction` records in the memo,
-    so they must never share a memo slot with object-IR runs even if a
-    cache were handed between differently-configured compilers.
-    """
-    suffix = f":{mode}" if mode else ""
-    return f"middle:{name}:{bug_seed}:{opt_level}:{','.join(flags)}{suffix}"
+    """Memo key for one (personality, bug seed, options) middle-end run."""
+    return f"middle:{name}:{bug_seed}:{opt_level}:{','.join(flags)}"
 
 
 @dataclass(frozen=True)
@@ -88,7 +71,7 @@ class DeclRecord:
     events: tuple
     stats_delta: tuple  # ((key, n), ...) applied to IRGenStats
     globals_added: tuple  # ((name, GlobalVar), ...) in emission order
-    fn: IRFunction | None  # live post-pipeline object (mutated in place)
+    fn: IRFunction | None  # live post-pipeline carrier (mutated in place)
     str_start: int
     static_start: int
     str_delta: int
@@ -115,7 +98,7 @@ class MiddleMemo:
     decl_records: tuple = ()
     enum_values: dict = field(default_factory=dict)
     fn_names: tuple = ()
-    candidate_names: frozenset = frozenset()
+    #: Inline candidate name -> post-local-opt snapshot of its body.
     candidate_snapshots: dict = field(default_factory=dict)
     phase_events: dict = field(default_factory=dict)  # (phase, fn) -> events
     #: fn name -> (events, stats, asm): one function's back-end output.
@@ -181,35 +164,21 @@ def _incremental_pairing(plan, parent_unit, unit):
 
 
 class _MiddleRun:
-    """One instrumented middle-end run (full or incremental).
+    """One journaled middle-end run (full or incremental) over flat IR.
 
     Drives IR generation per declaration and the optimizer per (phase,
     function), recording journal slices as it goes; in incremental mode the
-    clean units are replayed from ``reuse``/``phase_reuse`` instead of
+    clean units are replayed from ``reuse``/``parent_memo`` instead of
     executed.
     """
 
-    def __init__(
-        self,
-        compiler,
-        entry,
-        opt_level: int,
-        flags: tuple,
-        cov,
-        features: dict,
-        journal: list | None,
-    ) -> None:
+    def __init__(self, compiler, entry, cov, features: dict, journal: list):
         self.compiler = compiler
         self.entry = entry
         self.unit = entry.unit
-        self.opt_level = opt_level
-        self.flags = flags
         self.cov = cov
         self.features = features
-        #: Whether this run is being recorded for memoization (a cache is in
-        #: play).  Uncached runs skip all slicing/snapshotting overhead.
-        self.capture = journal is not None
-        self.journal = journal if journal is not None else []
+        self.journal = journal
         # new decl index -> DeclRecord to replay; absent entries run real.
         self.reuse: dict[int, DeclRecord] = {}
         # new dirty decl index -> parent dirty decl index (from the pairing).
@@ -217,34 +186,23 @@ class _MiddleRun:
         self.parent_memo: MiddleMemo | None = None
         self.memo = MiddleMemo()
 
-        def checkpoint(point: str, extra: dict) -> None:
-            if self.capture:
-                self.journal.append(("check", point, dict(extra)))
-            merged = dict(self.features)
-            merged.update(extra)
-            self.compiler.bugs.check(point, merged)
-
-        self.checkpoint = checkpoint
+    def checkpoint(self, point: str, extra: dict) -> None:
+        self.journal.append(("check", point, dict(extra)))
+        merged = dict(self.features)
+        merged.update(extra)
+        self.compiler.bugs.check(point, merged)
 
     # ---------------------------------------------------------------- irgen
 
     def lower(self) -> IRModule:
-        if getattr(self.compiler, "flat_native", False):
-            # Buffer-direct emission: dirty declarations lower straight into
-            # IRBuffers and replayed DeclRecords re-inject the parent's
-            # FlatFunction carriers verbatim — no encode, no decode.
-            irgen = FlatIRGen(
-                self.entry.sema,
-                self.cov,
-                counters=getattr(self.compiler, "bridge", None),
-            )
-        else:
-            irgen = IRGen(self.entry.sema, self.cov)
+        # Buffer-direct emission: dirty declarations lower straight into
+        # IRBuffers and replayed DeclRecords re-inject the parent's
+        # FlatFunction carriers verbatim — no encode, no decode.
+        irgen = irgen_for(self.compiler, self.entry, self.cov)
         irgen._collect_enums(self.unit)
-        if self.capture:
-            self.memo.enum_values = dict(irgen._enum_values)
+        self.memo.enum_values = dict(irgen._enum_values)
         if self.parent_memo is not None and (
-            dict(irgen._enum_values) != self.parent_memo.enum_values
+            self.memo.enum_values != self.parent_memo.enum_values
         ):
             raise _MiddleAbort("enum table changed")
         records = []
@@ -252,7 +210,7 @@ class _MiddleRun:
             kind, name = _decl_kind(decl)
             rec = self.reuse.get(i)
             start = len(self.journal)
-            stats0 = Counter(irgen.stats.counters) if self.capture else None
+            stats0 = Counter(irgen.stats.counters)
             g0 = len(irgen.module.globals)
             str0, static0 = irgen._string_counter, irgen._static_counter
             if rec is not None:
@@ -281,25 +239,26 @@ class _MiddleRun:
                         irgen._static_counter - static0,
                     ) != (prec.str_delta, prec.static_delta):
                         raise _MiddleAbort("name counter schedule drifted")
-            if self.capture:
-                records.append(
-                    DeclRecord(
-                        kind=kind,
-                        name=name,
-                        events=tuple(self.journal[start:]),
-                        stats_delta=_stats_delta(stats0, irgen.stats.counters),
-                        globals_added=tuple(
-                            list(irgen.module.globals.items())[g0:]
-                        ),
-                        fn=irgen.module.functions.get(name)
+            records.append(
+                DeclRecord(
+                    kind=kind,
+                    name=name,
+                    events=tuple(self.journal[start:]),
+                    stats_delta=_stats_delta(stats0, irgen.stats.counters),
+                    globals_added=tuple(
+                        list(irgen.module.globals.items())[g0:]
+                    ),
+                    fn=(
+                        irgen.module.functions.get(name)
                         if kind == "fn"
-                        else None,
-                        str_start=str0,
-                        static_start=static0,
-                        str_delta=irgen._string_counter - str0,
-                        static_delta=irgen._static_counter - static0,
-                    )
+                        else None
+                    ),
+                    str_start=str0,
+                    static_start=static0,
+                    str_delta=irgen._string_counter - str0,
+                    static_delta=irgen._static_counter - static0,
                 )
+            )
         self.memo.decl_records = tuple(records)
         self.irgen = irgen
         module = irgen.module
@@ -313,47 +272,25 @@ class _MiddleRun:
     # ------------------------------------------------------------ optimizer
 
     def optimize(self, module: IRModule, ctx: OptContext) -> None:
-        if ctx.opt_level <= 0:
-            return
         dirty = self._dirty_fn_names()
+        parent = self.parent_memo
 
-        def drive(phase: str, fn, runner) -> None:
+        def drive(phase: str, fn, run) -> None:
             start = len(self.journal)
             key = (phase, fn.name)
-            if fn.name in dirty or self.parent_memo is None:
-                runner()
+            if parent is None or fn.name in dirty:
+                run(fn)
             else:
-                events = self.parent_memo.phase_events.get(key)
+                events = parent.phase_events.get(key)
                 if events is None:
                     raise _MiddleAbort(f"missing parent phase record {key}")
                 _apply_events(events, self.cov, self.checkpoint, ctx.stats)
-            if self.capture:
-                self.memo.phase_events[key] = tuple(self.journal[start:])
+            self.memo.phase_events[key] = tuple(self.journal[start:])
 
-        # Flat-native runs splice/scan IRBuffers directly; the object
-        # stage entry points remain the paranoid reference path.
-        inline_fn = flat_inline_into_caller if ctx.flat_native else inline_into_caller
-        strlen_fn = flat_strlen_opt_fn if ctx.flat_native else strlen_opt_fn
-        vectorize_fn = flat_loop_vectorize if ctx.flat_native else loop_vectorize
-
-        for fn in list(module.functions.values()):
-            drive("local", fn, lambda f=fn: local_opt(f, ctx))
-        if ctx.opt_level >= 2:
-            candidates = self._candidates(module, dirty)
-            if candidates:
-                for caller in module.functions.values():
-                    drive(
-                        "inline",
-                        caller,
-                        lambda c=caller: inline_fn(c, candidates, ctx),
-                    )
-            for fn in module.functions.values():
-                drive("strlen", fn, lambda f=fn: strlen_fn(f, module, ctx))
-            for fn in list(module.functions.values()):
-                drive("cleanup", fn, lambda f=fn: cleanup_opt(f, ctx))
-        if ctx.opt_level >= 3 or ctx.flag("-ftree-vectorize"):
-            for fn in list(module.functions.values()):
-                drive("vectorize", fn, lambda f=fn: vectorize_fn(f, ctx))
+        run_pipeline(
+            module, ctx, drive=drive,
+            candidates=lambda m, own: self._candidates(m, own, dirty),
+        )
 
     # -------------------------------------------------------------- backend
 
@@ -380,10 +317,9 @@ class _MiddleRun:
                 res = BackendResult(asm, dict(stats))
             else:
                 res = _lower_function(fn, fn_ctx)
-            if self.capture:
-                self.memo.backend_records[fn.name] = (
-                    tuple(self.journal[start:]), dict(res.stats), res.asm
-                )
+            self.memo.backend_records[fn.name] = (
+                tuple(self.journal[start:]), dict(res.stats), res.asm
+            )
             return res
 
         return lower_to_asm(module, ctx, fn_lowerer=lower_fn)
@@ -397,48 +333,29 @@ class _MiddleRun:
             if i not in self.reuse
         }
 
-    def _candidates(self, module: IRModule, dirty: set) -> dict:
-        flat_native = getattr(self.compiler, "flat_native", False)
-        if self.parent_memo is None:
-            if flat_native:
-                candidates = {
-                    name: fn.buffer()
-                    for name, fn in module.functions.items()
-                    if flat_inlinable(fn.buffer())
-                }
-            else:
-                candidates = inline_candidates(module)
-            if self.capture:
-                # Candidate bodies get inlined into callers by value;
-                # snapshot them at this (post-local-opt) point so children
-                # can reuse them after later phases mutate the live objects.
-                self.memo.candidate_names = frozenset(candidates)
-                self.memo.candidate_snapshots = {
-                    name: FunctionSnapshot.of(module.functions[name])
-                    for name in candidates
-                }
-            return candidates
+    def _candidates(self, module: IRModule, own: dict, dirty: set) -> dict:
+        parent = self.parent_memo
+        if parent is None:
+            # Candidate bodies get inlined into callers by value; snapshot
+            # them at this (post-local-opt) point so children can reuse
+            # them after later phases mutate the live carriers.
+            self.memo.candidate_snapshots = {
+                name: FunctionSnapshot.of(module.functions[name])
+                for name in own
+            }
+            return own
+        # Replayed clean carriers are already in their final state, so
+        # only the dirty functions' own candidacy is meaningful here.
         for name in dirty:
-            fn = module.functions[name]
-            is_candidate = (
-                flat_inlinable(fn.buffer()) if flat_native else _inlinable(fn)
-            )
-            if name in self.parent_memo.candidate_names or is_candidate:
+            if name in parent.candidate_snapshots or name in own:
                 # A dirty function that is (or was) an inline candidate can
                 # change the bodies inlined into *clean* callers.
                 raise _MiddleAbort("dirty function affects inline candidacy")
-        self.memo.candidate_names = self.parent_memo.candidate_names
-        self.memo.candidate_snapshots = self.parent_memo.candidate_snapshots
-        if flat_native:
-            # Serve the snapshot buffers directly to the flat inliner:
-            # cache-served callee bodies never cross the IR bridge.
-            return {
-                name: snap.buf
-                for name, snap in self.parent_memo.candidate_snapshots.items()
-            }
+        self.memo.candidate_snapshots = parent.candidate_snapshots
+        # Serve the snapshot buffers directly to the flat inliner:
+        # cache-served callee bodies never cross the IR bridge.
         return {
-            name: snap.materialize()
-            for name, snap in self.parent_memo.candidate_snapshots.items()
+            name: snap.buf for name, snap in parent.candidate_snapshots.items()
         }
 
 
@@ -459,33 +376,27 @@ def lower_and_optimize(
     features: dict,
     result,
     *,
-    journal: list | None = None,
+    journal: list,
     plan=None,
-    stages: list | None = None,
+    stages: list,
 ) -> None:
-    """The middle end + back end of ``Compiler.compile``.
+    """The journaled middle end + back end of a cached flat-native compile.
 
-    Runs IR generation, the optimizer, and the back end, mutating
-    ``cov``/``features``/``result`` exactly like the monolithic pipeline
-    did.  When ``journal`` is provided (a cache is in play) the run is
-    instrumented and memoized on ``entry.memo``; when ``plan`` points at a
-    completed parent run, clean declarations are replayed instead of
-    recompiled.  ``stages`` collects which pipeline stages logically ran
-    (for the stage-scaled cost model).
+    Runs IR generation, the optimizer, and the back end like the plain
+    pipeline, instrumented into ``journal`` and memoized on ``entry.memo``;
+    when ``plan`` points at a completed parent run, clean declarations are
+    replayed instead of recompiled.  ``stages`` collects which pipeline
+    stages logically ran (for the stage-scaled cost model).
     """
     key = middle_memo_key(
-        compiler.name,
-        compiler.bug_seed,
-        opt_level,
-        tuple(flags),
-        mode="flat-native" if getattr(compiler, "flat_native", False) else "",
+        compiler.name, compiler.bug_seed, opt_level, tuple(flags)
     )
-    memoized = entry.memo.get(key) if journal is not None else None
+    memoized = entry.memo.get(key)
     if memoized is not None and memoized.result is not None:
         _replay_result(memoized.result, cov, features, result, stages)
         return
     parent_memo = None
-    if plan is not None and journal is not None:
+    if plan is not None:
         parent_memo = plan.parent.memo.get(key)
         if parent_memo is not None and not parent_memo.complete:
             parent_memo = None
@@ -524,9 +435,7 @@ def _run_middle(
     stages,
     key,
 ) -> None:
-    run = _MiddleRun(
-        compiler, entry, opt_level, flags, cov, features, journal,
-    )
+    run = _MiddleRun(compiler, entry, cov, features, journal)
     if parent_memo is not None:
         parent_dirty, new_dirty = _incremental_pairing(
             plan, plan.parent.unit, entry.unit
@@ -536,69 +445,20 @@ def _run_middle(
         for ni, pi in enumerate(plan.decl_map):
             if pi is not None:
                 run.reuse[ni] = parent_memo.decl_records[pi]
-    try:
-        with span(compiler.tracer, "irgen"):
-            module = run.lower()
-    except (LoweringError, RecursionError) as exc:
-        result.diagnostics.append(f"sorry, unimplemented: {exc}")
-        features["lowering_failed"] = 1
-        compiler.bugs.check("ir-gen", features)
-        if journal is not None:
-            run.memo.result = ResultMemo(
-                ok=False,
-                diagnostics=tuple(result.diagnostics),
-                asm="",
-                module=None,
-                features=dict(features),
-                events=tuple(journal),
-                stages=tuple(stages) if stages is not None else (),
-            )
-            entry.memo[key] = run.memo
-        return
-    features.update(run.irgen.stats.counters)
-    compiler.bugs.check("ir-gen", features)
-
-    with span(compiler.tracer, "opt"):
-        ctx = OptContext(
-            cov=cov,
-            opt_level=opt_level,
-            flags=compiler._personality_flags(flags),
-            checkpoint=run.checkpoint,
-            fuse=getattr(compiler, "fuse_passes", False),
-            flat=getattr(compiler, "flat_ir", False),
-            flat_native=getattr(compiler, "flat_native", False),
-            bridge=getattr(compiler, "bridge", None),
-        )
-        if journal is not None:
-            ctx.stats.journal = run.journal
-        run.optimize(module, ctx)
-    features.update(ctx.stats.counters)
-    compiler.bugs.check("optimization", features)
-    if ctx.fused_runs:
-        compiler.fused_pass_runs += ctx.fused_runs
-
-    with span(compiler.tracer, "backend"):
-        be = run.backend(module, ctx)
-    if stages is not None:
-        stages.append("backend")
-    features.update(be.stats)
-    compiler.bugs.check("back-end", features)
-
-    result.ok = True
-    result.asm = be.asm
-    result.module = module
-    if journal is not None:
-        run.memo.complete = True
-        run.memo.result = ResultMemo(
-            ok=True,
-            diagnostics=(),
-            asm=be.asm,
-            module=module,
-            features=dict(features),
-            events=tuple(journal),
-            stages=tuple(stages) if stages is not None else (),
-        )
-        entry.memo[key] = run.memo
+    ok = run_middle(
+        compiler, run, opt_level, flags, cov, features, result, stages
+    )
+    run.memo.complete = ok
+    run.memo.result = ResultMemo(
+        ok=ok,
+        diagnostics=tuple(result.diagnostics),
+        asm=result.asm,
+        module=result.module,
+        features=dict(features),
+        events=tuple(journal),
+        stages=tuple(stages),
+    )
+    entry.memo[key] = run.memo
 
 
 def _replay_result(memo: ResultMemo, cov, features, result, stages) -> None:
@@ -611,10 +471,9 @@ def _replay_result(memo: ResultMemo, cov, features, result, stages) -> None:
     result.ok = memo.ok
     result.asm = memo.asm
     result.module = memo.module
-    if stages is not None:
-        for stage in memo.stages:
-            if stage not in stages:
-                stages.append(stage)
+    for stage in memo.stages:
+        if stage not in stages:
+            stages.append(stage)
 
 
 # ---------------------------------------------------------------------------

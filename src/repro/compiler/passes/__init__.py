@@ -20,10 +20,10 @@ from repro.compiler.passes.inline import (
 )
 from repro.compiler.passes.strlen_opt import strlen_opt, strlen_opt_fn
 from repro.compiler.passes.loop_vectorize import loop_vectorize
-from repro.compiler.passes.fused import fused_local_opt
 from repro.compiler.passes.flat import flat_cleanup_opt, flat_local_opt
 from repro.compiler.passes.flat_inline import (
     flat_inlinable,
+    flat_inline_candidates,
     flat_inline_into_caller,
 )
 from repro.compiler.passes.flat_strlen import flat_strlen_opt_fn
@@ -43,10 +43,10 @@ __all__ = [
     "strlen_opt",
     "strlen_opt_fn",
     "loop_vectorize",
-    "fused_local_opt",
     "flat_local_opt",
     "flat_cleanup_opt",
     "flat_inlinable",
+    "flat_inline_candidates",
     "flat_inline_into_caller",
     "flat_strlen_opt_fn",
     "flat_loop_vectorize",
@@ -59,17 +59,14 @@ __all__ = [
 def local_opt(fn, ctx: OptContext) -> None:
     """The per-function -O1 fixpoint round (first pipeline stage).
 
-    With ``ctx.fuse`` set, the round runs as the single-walk fusion of
-    :mod:`repro.compiler.passes.fused` — bit-identical in resulting IR,
-    coverage hits, and stats bumps, but three traversals instead of five.
-    With ``ctx.flat`` set, the same fused algorithm runs over the flat
-    :class:`~repro.compiler.flatir.IRBuffer` (no per-node objects at all).
+    With ``ctx.flat_native`` set, the round runs over the function's flat
+    :class:`~repro.compiler.flatir.IRBuffer` as one fused walk per round
+    (:func:`~repro.compiler.passes.flat.flat_local_opt`) — bit-identical in
+    resulting IR, coverage hits, and stats bumps to the sequential
+    five-pass loop below, which is the object-IR reference.
     """
-    if ctx.flat:
+    if ctx.flat_native:
         flat_local_opt(fn, ctx)
-        return
-    if ctx.fuse:
-        fused_local_opt(fn, ctx)
         return
     changed = True
     rounds = 0
@@ -86,7 +83,7 @@ def local_opt(fn, ctx: OptContext) -> None:
 
 def cleanup_opt(fn, ctx: OptContext) -> None:
     """The per-function post-inline cleanup round (-O2 stage tail)."""
-    if ctx.flat:
+    if ctx.flat_native:
         flat_cleanup_opt(fn, ctx)
         return
     const_fold(fn, ctx)
@@ -94,45 +91,56 @@ def cleanup_opt(fn, ctx: OptContext) -> None:
     dce(fn, ctx)
 
 
-def run_pipeline(module, ctx: OptContext) -> None:
+def _run_now(phase: str, fn, run) -> None:
+    run(fn)
+
+
+def run_pipeline(module, ctx: OptContext, drive=None, candidates=None) -> None:
     """Run the optimization pipeline at the context's -O level.
 
-    Kept decomposed into per-function stage entry points (:func:`local_opt`,
-    :func:`inline_into_caller`, :func:`strlen_opt_fn`, :func:`cleanup_opt`,
-    :func:`loop_vectorize`) so the incremental middle end
-    (:mod:`repro.compiler.incremental`) can replay unchanged functions and
-    re-run only the dirty ones while preserving the exact per-function event
-    order of this loop.
+    This is the one pass schedule.  Each phase visits the functions in
+    module order: the local round (:func:`local_opt`), then at -O2 inlining
+    of the candidate callees, GCC's sprintf->strlen reduction and the
+    cleanup round (:func:`cleanup_opt`), then at -O3 or with
+    ``-ftree-vectorize`` the loop vectorizer.  ``ctx.flat_native`` selects
+    the buffer ports of the stages; otherwise the object-IR stages run.
+
+    The replay engines (:mod:`repro.compiler.incremental`,
+    :mod:`repro.compiler.session`) reuse the schedule through two hooks:
+
+    * ``drive(phase, fn, run)`` is called instead of ``run(fn)`` for every
+      (phase, function) pair, so an engine can replay a clean function's
+      recorded events in place of running the stage;
+    * ``candidates(module, own)`` is called once every local round has
+      run, with the module's own inline candidates (callee name -> body),
+      and returns the candidate map the inline phase uses.
     """
     if ctx.opt_level <= 0:
         return
-    flat_native = ctx.flat_native
-    for fn in list(module.functions.values()):
-        local_opt(fn, ctx)
+    if ctx.flat_native:
+        inline, strlen, vectorize = (
+            flat_inline_into_caller, flat_strlen_opt_fn, flat_loop_vectorize
+        )
+        find_candidates = flat_inline_candidates
+    else:
+        inline, strlen, vectorize = (
+            inline_into_caller, strlen_opt_fn, loop_vectorize
+        )
+        find_candidates = inline_candidates
+    drive = drive or _run_now
+
+    def phase(name: str, run) -> None:
+        for fn in list(module.functions.values()):
+            drive(name, fn, run)
+
+    phase("local", lambda fn: local_opt(fn, ctx))
     if ctx.opt_level >= 2:
-        if flat_native:
-            candidates = {}
-            for name, fn in module.functions.items():
-                buf = fn.buffer()
-                if flat_inlinable(buf):
-                    candidates[name] = buf
-            if candidates:
-                for caller in module.functions.values():
-                    flat_inline_into_caller(caller, candidates, ctx)
-            for fn in module.functions.values():
-                flat_strlen_opt_fn(fn, module, ctx)
-        else:
-            candidates = inline_candidates(module)
-            if candidates:
-                for caller in module.functions.values():
-                    inline_into_caller(caller, candidates, ctx)
-            for fn in module.functions.values():
-                strlen_opt_fn(fn, module, ctx)
-        for fn in list(module.functions.values()):
-            cleanup_opt(fn, ctx)
+        callees = find_candidates(module)
+        if candidates is not None:
+            callees = candidates(module, callees)
+        if callees:
+            phase("inline", lambda fn: inline(fn, callees, ctx))
+        phase("strlen", lambda fn: strlen(fn, module, ctx))
+        phase("cleanup", lambda fn: cleanup_opt(fn, ctx))
     if ctx.opt_level >= 3 or ctx.flag("-ftree-vectorize"):
-        for fn in list(module.functions.values()):
-            if flat_native:
-                flat_loop_vectorize(fn, ctx)
-            else:
-                loop_vectorize(fn, ctx)
+        phase("vectorize", lambda fn: vectorize(fn, ctx))

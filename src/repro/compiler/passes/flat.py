@@ -1,17 +1,37 @@
 """The local optimization rounds executed over the flat IR buffer.
 
-:func:`flat_local_opt` and :func:`flat_cleanup_opt` are drop-in replacements
-for :func:`repro.compiler.passes.local_opt` / ``cleanup_opt``: the function
-is encoded into an :class:`~repro.compiler.flatir.IRBuffer` once, every
-fixpoint round runs as int-dispatch loops over the parallel arrays (no
-instruction or operand objects are allocated while optimizing), and the
-result is decoded back once at the end.
+:func:`flat_local_opt` and :func:`flat_cleanup_opt` are the flat-native
+ports of :func:`repro.compiler.passes.local_opt` / ``cleanup_opt``: every
+fixpoint round runs as int-dispatch loops over the parallel arrays of the
+function's :class:`~repro.compiler.flatir.IRBuffer` (no instruction or
+operand objects are allocated while optimizing).  A buffer-backed
+:class:`~repro.compiler.flatir.FlatFunction` is optimized in place; a plain
+``IRFunction`` is encoded once and decoded back once at the end.
 
-Exactness is inherited rather than re-argued: the flat round implements the
-*fused* algorithm of :mod:`repro.compiler.passes.fused` — whose equivalence
-to the sequential five-pass round is already property-tested — with the
-operand chain map keyed by encoded-operand ints instead of operand objects.
-The parity-critical details:
+The flat round is a *fused* walk: each round of the sequential object loop
+runs const_fold, simplify_cfg, forward_store, cse and dce as five full
+traversals, four of them ending in a whole-function use-rewrite, while the
+flat round keeps the passes' decision sequence in three traversals (fold,
+forward+cse combined, dce) and one rewrite.  This is exact:
+
+* Temps are single-assignment and defs precede uses in block order, so a
+  mapping entry created at walk position *p* can only affect operands whose
+  defining instruction lies at or after *p*; resolving operands per
+  instruction during the walk lands on the state the sequential composition
+  (fold, then forward, then cse) produces.
+* The per-pass mappings compose by *chaining* (const_fold may map ``t3 ->
+  7`` and cse later ``t9 -> t3``), so the fused walk resolves lookups
+  transitively (:func:`_chain_get`) and one sweep lands on the same operands.
+* ``simplify_cfg`` reads only block labels and terminator targets, never
+  value operands, so deferring const_fold's use-rewrite past it changes
+  nothing it observes.
+* Forwarding decisions read slot state and CSE decisions read the pure
+  instruction key; both see identically resolved operands.
+
+The equivalence to the sequential round is property-tested
+(``tests/test_flatir.py``, ``tests/test_session.py``) and every paranoid
+compile checks it against the object-IR reference.  The parity-critical
+details of the buffer encoding:
 
 * Immediate-pool deduplication makes enc equality coincide with operand
   object equality for ints.  Floats pool by ``repr`` (so ``-0.0`` decodes
@@ -47,7 +67,7 @@ _LHS_ZERO_OPS = ("+", "|", "^")
 
 
 def _chain_get(mapping: dict, enc: int) -> int:
-    """Transitive mapping lookup, mirroring ``fused._ChainMap.get``."""
+    """Transitive lookup: ``a -> b, b -> c`` resolves ``a`` to ``c``."""
     nxt = mapping.get(enc)
     if nxt is None:
         return enc
@@ -368,7 +388,7 @@ def _cse_key(buf, i: int, reprs: dict):
 
 
 def _forward_cse(buf, ctx, mapping: dict, resolve) -> bool:
-    """forward_store and cse in one flat traversal (mirrors ``fused``)."""
+    """forward_store and cse in one flat traversal."""
     changed = False
     cov = ctx.cov
     stats = ctx.stats
@@ -532,10 +552,10 @@ def _enter_buffer(fn, ctx):
 def flat_local_opt(fn, ctx) -> None:
     """The per-function -O1 fixpoint round over the flat buffer.
 
-    Runs the fused-round algorithm regardless of ``ctx.fuse`` (the fused and
-    sequential rounds are bit-identical in IR, coverage, and stats);
-    ``fused_runs`` is only bumped when the context actually asked for
-    fusion, keeping that non-stat diagnostic comparable across knobs.
+    Always runs the fused walk (bit-identical in IR, coverage, and stats to
+    the sequential object round); ``fused_runs`` is only bumped when the
+    context asked for fusion, keeping that non-stat diagnostic comparable
+    across knobs.
     """
     buf, writeback = _enter_buffer(fn, ctx)
     if ctx.fuse:

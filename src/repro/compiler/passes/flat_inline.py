@@ -44,6 +44,16 @@ def flat_inlinable(buf: IRBuffer) -> bool:
     return all(buf.opc[i] != OP_CALL for i in idxs)
 
 
+def flat_inline_candidates(module) -> dict[str, IRBuffer]:
+    """The buffer-side mirror of :func:`.inline.inline_candidates`."""
+    candidates = {}
+    for name, fn in module.functions.items():
+        buf = fn.buffer()
+        if flat_inlinable(buf):
+            candidates[name] = buf
+    return candidates
+
+
 def _max_temp(buf: IRBuffer) -> int:
     """Highest temp index used by *live* rows (mirrors object ``_max_temp``).
 

@@ -5,7 +5,7 @@ its *parent's* recorded run — every mutant still pays O(parent events) per
 clean function, and the reuse chain is pinned to one parent lineage.  A
 :class:`CompileSession` generalizes that into a persistent, cross-step store:
 per-function middle-end artifacts (IR generation replay segments, per-phase
-optimizer segments, the final post-pipeline IR object, backend asm/stats) are
+optimizer segments, the final post-pipeline IR carrier, backend asm/stats) are
 interned under a **content key** that captures everything the function's
 middle-end run can observe.  Any mutant whose function hashes to a known key
 skips irgen, the optimizer, and the backend for that function entirely —
@@ -42,8 +42,11 @@ adds — O(unique sites), not O(events) — while checkpoints run live through
 the bug registry with the evolving feature dict, preserving crash identity
 and the exact abort point of a seeded crash.
 
+Sessions serve flat-native compiles only: the records hold
+:class:`~repro.compiler.flatir.FlatFunction` carriers, and a
+``flat_native=False`` compile (the object-IR reference) never consults one.
 ``paranoid=True`` on :meth:`Compiler.compile` cross-checks every
-session-served compile against a cold run (no cache, no session) via
+session-served compile against that reference via
 :func:`~repro.compiler.incremental.assert_results_equal`.
 """
 
@@ -56,27 +59,14 @@ from repro.cast.cache import decl_digests, source_digest
 from repro.compiler.backend import BackendResult, _lower_function, lower_to_asm
 from repro.compiler.flatir import FunctionSnapshot
 from repro.compiler.ir import IRFunction, IRModule
-from repro.compiler.irgen import FlatIRGen, IRGen, LoweringError
 from repro.compiler.incremental import (
     _MiddleAbort,
     _decl_kind,
     _stats_delta,
     middle_memo_key,
 )
-from repro.compiler.passes import (
-    OptContext,
-    cleanup_opt,
-    flat_inline_into_caller,
-    flat_inlinable,
-    flat_loop_vectorize,
-    flat_strlen_opt_fn,
-    inline_candidates,
-    inline_into_caller,
-    local_opt,
-    loop_vectorize,
-    strlen_opt_fn,
-)
-from repro.compiler.passes.inline import _inlinable
+from repro.compiler.middle import irgen_for, run_middle
+from repro.compiler.passes import OptContext, run_pipeline
 from repro.telemetry.spans import span
 
 #: Default bound on interned per-function records.  A campaign cell's live
@@ -143,7 +133,7 @@ class SessionFnRecord:
     irgen_segments: tuple
     irgen_stats: tuple  # ((key, n), ...) applied to IRGenStats
     globals_added: tuple  # ((name, GlobalVar), ...) in emission order
-    fn: IRFunction | None  # final post-pipeline object (never mutated again)
+    fn: IRFunction | None  # final post-pipeline carrier (never mutated again)
     str_delta: int
     static_delta: int
     phase_segments: dict = field(default_factory=dict)  # phase -> segments
@@ -154,7 +144,7 @@ class SessionFnRecord:
     candidates_digest: str = ""
     #: Post-local-opt flat snapshot when this function was an inline
     #: candidate in its recording run (the body callers inline by value);
-    #: materialized back to object IR on reuse.
+    #: its buffer feeds the flat inliner on reuse.
     snapshot: "FunctionSnapshot | None" = None
 
 
@@ -288,7 +278,7 @@ class _Pending:
         self.backend_events: tuple = ()
         self.backend_stats: tuple = ()
         self.asm = ""
-        self.snapshot: IRFunction | None = None
+        self.snapshot: FunctionSnapshot | None = None
 
 
 class _SessionRun:
@@ -328,13 +318,11 @@ class _SessionRun:
         self.candidate_names: frozenset = frozenset()
         self.candidates_digest = ""
 
-        def checkpoint(point: str, extra: dict) -> None:
-            self.journal.append(("check", point, dict(extra)))
-            merged = dict(self.features)
-            merged.update(extra)
-            self.compiler.bugs.check(point, merged)
-
-        self.checkpoint = checkpoint
+    def checkpoint(self, point: str, extra: dict) -> None:
+        self.journal.append(("check", point, dict(extra)))
+        merged = dict(self.features)
+        merged.update(extra)
+        self.compiler.bugs.check(point, merged)
 
     # -- replay ------------------------------------------------------------
 
@@ -362,17 +350,9 @@ class _SessionRun:
     # -- irgen -------------------------------------------------------------
 
     def lower(self) -> IRModule:
-        flat_native = getattr(self.compiler, "flat_native", False)
-        if flat_native:
-            # Buffer-direct emission; replayed records re-inject their
-            # FlatFunction carriers verbatim (zero bridge crossings).
-            irgen = FlatIRGen(
-                self.entry.sema,
-                self.cov,
-                counters=getattr(self.compiler, "bridge", None),
-            )
-        else:
-            irgen = IRGen(self.entry.sema, self.cov)
+        # Buffer-direct emission; replayed records re-inject their
+        # FlatFunction carriers verbatim (zero bridge crossings).
+        irgen = irgen_for(self.compiler, self.entry, self.cov)
         irgen._collect_enums(self.unit)
         enum_digest = _digest(tuple(irgen._enum_values.items()))
         full_digests, header_digests = decl_digests(
@@ -381,7 +361,6 @@ class _SessionRun:
         options = middle_memo_key(
             self.compiler.name, self.compiler.bug_seed, self.opt_level,
             tuple(self.flags),
-            mode="flat-native" if flat_native else "",
         )
         env_digest = _digest(header_digests)
         globals_state = ""
@@ -440,10 +419,7 @@ class _SessionRun:
     # -- optimizer ---------------------------------------------------------
 
     def optimize(self, module: IRModule, ctx: OptContext) -> None:
-        if ctx.opt_level <= 0:
-            return
-
-        def drive(phase: str, fn, runner) -> None:
+        def drive(phase: str, fn, run) -> None:
             rec = self.clean_fns.get(fn.name)
             if rec is not None:
                 segments = rec.phase_segments.get(phase)
@@ -452,40 +428,17 @@ class _SessionRun:
                 self._apply_segments(segments, ctx.stats.counters)
                 return
             start = len(self.journal)
-            runner()
+            run(fn)
             pend = self.pending_fn.get(fn.name)
             if pend is not None:
                 pend.phase_events[phase] = tuple(self.journal[start:])
 
-        # Flat-native runs splice/scan IRBuffers directly; the object
-        # stage entry points remain the paranoid reference path.
-        inline_fn = flat_inline_into_caller if ctx.flat_native else inline_into_caller
-        strlen_fn = flat_strlen_opt_fn if ctx.flat_native else strlen_opt_fn
-        vectorize_fn = flat_loop_vectorize if ctx.flat_native else loop_vectorize
-
-        for fn in list(module.functions.values()):
-            drive("local", fn, lambda f=fn: local_opt(f, ctx))
-        if ctx.opt_level >= 2:
-            candidates = self._candidates(module)
-            if candidates:
-                for caller in module.functions.values():
-                    drive(
-                        "inline",
-                        caller,
-                        lambda c=caller: inline_fn(c, candidates, ctx),
-                    )
-            for fn in module.functions.values():
-                drive("strlen", fn, lambda f=fn: strlen_fn(f, module, ctx))
-            for fn in list(module.functions.values()):
-                drive("cleanup", fn, lambda f=fn: cleanup_opt(f, ctx))
-        if ctx.opt_level >= 3 or ctx.flag("-ftree-vectorize"):
-            for fn in list(module.functions.values()):
-                drive("vectorize", fn, lambda f=fn: vectorize_fn(f, ctx))
+        run_pipeline(module, ctx, drive=drive, candidates=self._candidates)
 
     def _cand_digest(self, names: frozenset) -> str:
         return _digest(tuple(sorted((n, self.fn_keys[n]) for n in names)))
 
-    def _candidates(self, module: IRModule) -> dict:
+    def _candidates(self, module: IRModule, own: dict) -> dict:
         """The inline candidate map, consistency-checked against records.
 
         Inlined bodies cross function boundaries, so every reused record must
@@ -494,40 +447,27 @@ class _SessionRun:
         function of the candidate's irgen key).  Any disagreement aborts to
         a fully live run, which re-records everything coherently.
         """
-        flat_native = getattr(self.compiler, "flat_native", False)
         if not self.clean_fns:
-            if flat_native:
-                candidates = {
-                    name: fn.buffer()
-                    for name, fn in module.functions.items()
-                    if flat_inlinable(fn.buffer())
-                }
-            else:
-                candidates = inline_candidates(module)
-            self.candidate_names = frozenset(candidates)
+            self.candidate_names = frozenset(own)
             self.candidates_digest = self._cand_digest(self.candidate_names)
-            for name in candidates:
+            for name in own:
                 pend = self.pending_fn.get(name)
                 if pend is not None:
                     # Callers inline the body by value: snapshot it at this
                     # (post-local-opt) point, before later phases mutate it.
-                    # Flat snapshots cost a handful of list copies instead of
-                    # a deep object-graph walk.
                     pend.snapshot = FunctionSnapshot.of(module.functions[name])
-            return candidates
+            return own
         names = None
         for rec in self.clean_fns.values():
             if names is None:
                 names = rec.candidate_names
             elif rec.candidate_names != names:
                 raise _MiddleAbort("session candidate sets disagree")
+        # Replayed clean carriers are already in their final state, so only
+        # the dirty functions' own candidacy is meaningful here.
         dirty = [n for n in module.functions if n not in self.clean_fns]
         for name in dirty:
-            fn = module.functions[name]
-            is_candidate = (
-                flat_inlinable(fn.buffer()) if flat_native else _inlinable(fn)
-            )
-            if name in names or is_candidate:
+            if name in names or name in own:
                 raise _MiddleAbort("dirty function affects inline candidacy")
         for name in names:
             rec = self.clean_fns.get(name)
@@ -539,17 +479,9 @@ class _SessionRun:
                 raise _MiddleAbort("candidate bodies changed")
         self.candidate_names = names
         self.candidates_digest = digest
-        if flat_native:
-            # Session-served callee bodies feed the flat inliner as raw
-            # buffers: no materialization, no bridge crossing.
-            return {
-                name: self.clean_fns[name].snapshot.buf
-                for name in names
-            }
-        return {
-            name: self.clean_fns[name].snapshot.materialize()
-            for name in names
-        }
+        # Session-served callee bodies feed the flat inliner as raw
+        # buffers: no bridge crossing.
+        return {name: self.clean_fns[name].snapshot.buf for name in names}
 
     # -- backend -----------------------------------------------------------
 
@@ -620,7 +552,7 @@ def lower_and_optimize_session(
     *,
     journal: list,
     plan=None,
-    stages: list | None = None,
+    stages: list,
 ) -> None:
     """The session-backed middle end + back end of ``Compiler.compile``.
 
@@ -631,11 +563,7 @@ def lower_and_optimize_session(
     fully live run that re-records every declaration.
     """
     options = middle_memo_key(
-        compiler.name,
-        compiler.bug_seed,
-        opt_level,
-        tuple(flags),
-        mode="flat-native" if getattr(compiler, "flat_native", False) else "",
+        compiler.name, compiler.bug_seed, opt_level, tuple(flags)
     )
     result_key = (options, entry.source_hash)
     with span(compiler.tracer, "session"):
@@ -681,68 +609,23 @@ def _run_session(
         compiler, session, entry, opt_level, flags, cov, features, journal,
         plan, reuse,
     )
-    try:
-        with span(compiler.tracer, "irgen"):
-            module = run.lower()
-    except (LoweringError, RecursionError) as exc:
-        result.diagnostics.append(f"sorry, unimplemented: {exc}")
-        features["lowering_failed"] = 1
-        compiler.bugs.check("ir-gen", features)
-        session.store_result(
-            result_key,
-            SessionResult(
-                ok=False,
-                diagnostics=tuple(result.diagnostics),
-                asm="",
-                module=None,
-                features=dict(features),
-                edges=frozenset(cov.edges),
-                stages=tuple(stages) if stages is not None else (),
-            ),
-        )
-        return
-    features.update(run.irgen.stats.counters)
-    compiler.bugs.check("ir-gen", features)
-
-    with span(compiler.tracer, "opt"):
-        ctx = OptContext(
-            cov=cov,
-            opt_level=opt_level,
-            flags=compiler._personality_flags(flags),
-            checkpoint=run.checkpoint,
-            fuse=compiler.fuse_passes,
-            flat=getattr(compiler, "flat_ir", False),
-            flat_native=getattr(compiler, "flat_native", False),
-            bridge=getattr(compiler, "bridge", None),
-        )
-        ctx.stats.journal = journal
-        run.optimize(module, ctx)
-    features.update(ctx.stats.counters)
-    compiler.bugs.check("optimization", features)
-
-    with span(compiler.tracer, "backend"):
-        be = run.backend(module, ctx)
-    if stages is not None:
-        stages.append("backend")
-    features.update(be.stats)
-    compiler.bugs.check("back-end", features)
-
-    result.ok = True
-    result.asm = be.asm
-    result.module = module
-    compiler.fused_pass_runs += ctx.fused_runs
+    ok = run_middle(
+        compiler, run, opt_level, flags, cov, features, result, stages
+    )
     with span(compiler.tracer, "session"):
-        run.commit(module)
+        if ok:
+            # Only a complete, successful run interns per-function records.
+            run.commit(result.module)
         session.store_result(
             result_key,
             SessionResult(
-                ok=True,
-                diagnostics=(),
-                asm=be.asm,
-                module=module,
+                ok=ok,
+                diagnostics=tuple(result.diagnostics),
+                asm=result.asm,
+                module=result.module,
                 features=dict(features),
                 edges=frozenset(cov.edges),
-                stages=tuple(stages) if stages is not None else (),
+                stages=tuple(stages),
             ),
         )
 
@@ -757,7 +640,6 @@ def _replay_session_result(
     result.ok = memo.ok
     result.asm = memo.asm
     result.module = memo.module
-    if stages is not None:
-        for stage in memo.stages:
-            if stage not in stages:
-                stages.append(stage)
+    for stage in memo.stages:
+        if stage not in stages:
+            stages.append(stage)

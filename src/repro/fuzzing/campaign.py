@@ -117,16 +117,21 @@ def make_fuzzer(
 ) -> Fuzzer:
     """Instantiate one of the six evaluated fuzzers by its paper name.
 
-    ``flat_ir``/``flat_native`` set the compiler's middle end for every
-    fuzzer kind, the generator baselines included: ``flat_native=False``
-    selects the object-IR reference, ``True`` the buffer-native production
-    path, and ``None`` keeps the compiler's own setting (buffer-native by
-    default).
+    ``flat_native`` sets the compiler's middle end for every fuzzer kind,
+    the generator baselines included: ``False`` selects the object-IR
+    reference, ``True`` the buffer-native production path, and ``None``
+    keeps the compiler's own setting (buffer-native by default).
+    ``flat_ir`` is implied by the flat-native path; ``flat_ir=True`` on the
+    object-IR reference is a contradiction and raises ``ValueError``.
     """
-    if flat_ir:
-        compiler.flat_ir = True
-    if flat_native is not None:
-        compiler.flat_native = flat_native
+    if flat_native is None:
+        flat_native = compiler.flat_native
+    if flat_ir and not flat_native:
+        raise ValueError(
+            "flat_ir=True needs the flat-native middle end, "
+            "but flat_native is False"
+        )
+    compiler.flat_native = flat_native
     quarantine = (
         MutatorQuarantine(quarantine_threshold)
         if quarantine_threshold is not None
@@ -267,14 +272,11 @@ class Campaign:
     paranoid: bool = False
     #: Cross-step middle-end memoization: one CompileSession per cell.
     session: bool = False
-    #: Route local optimization through the fused single-walk pass.
+    #: Count the flat local round's fused walks (``fused_pass_runs``).
     fuse_passes: bool = False
-    #: Run the optimizer's local rounds over the flat slotted IR buffer.
-    flat_ir: bool = False
     #: Keep the whole middle end buffer-native — buffer-direct irgen, flat
-    #: inlining, buffer-served journal replay (implies ``flat_ir``).  The
-    #: production default; ``False`` runs every cell on the object-IR
-    #: reference pipeline.
+    #: passes, buffer-served journal replay.  The production default;
+    #: ``False`` runs every cell on the object-IR reference pipeline.
     flat_native: bool = True
     #: Compile each μCFuzz step's attempt set as one session batch.
     batch_compile: bool = False
@@ -320,7 +322,6 @@ class Campaign:
                 paranoid=self.paranoid,
                 session=self.session,
                 fuse_passes=self.fuse_passes,
-                flat_ir=self.flat_ir,
                 flat_native=self.flat_native,
                 batch_compile=self.batch_compile,
                 schedule=self.schedule,

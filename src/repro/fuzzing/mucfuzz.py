@@ -50,7 +50,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
         quarantine: MutatorQuarantine | None = None,
         session: "CompileSession | bool | None" = None,
         fuse_passes: bool = False,
-        flat_ir: bool = False,
         flat_native: bool | None = None,
         batch_compile: bool = False,
         scheduler: MutatorScheduler | None = None,
@@ -64,22 +63,27 @@ class MuCFuzz(CoverageGuidedFuzzer):
         # ``CompileSession`` shares one, ``False`` force-disables whatever
         # the compiler was constructed with, and ``None`` leaves the
         # compiler's own ``session`` attribute alone.
-        if session is True:
-            compiler.session = CompileSession()
+        if session is None:
+            session = compiler.session
+        elif session is True:
+            session = CompileSession()
         elif session is False:
-            compiler.session = None
-        elif session is not None:
-            compiler.session = session
-        self.session = compiler.session
-        if fuse_passes:
-            compiler.fuse_passes = True
-        if flat_ir:
-            compiler.flat_ir = True
+            session = None
         # Like ``session``: ``None`` keeps the compiler's own middle end
         # (buffer-native by default); ``False`` selects the object-IR
         # reference, ``True`` the buffer-native production path.
-        if flat_native is not None:
-            compiler.flat_native = flat_native
+        if flat_native is None:
+            flat_native = compiler.flat_native
+        if session is not None and not flat_native:
+            raise ValueError(
+                "a CompileSession serves flat-native compiles only; "
+                "flat_native=False is the object-IR reference"
+            )
+        compiler.session = session
+        compiler.flat_native = flat_native
+        self.session = session
+        if fuse_passes:
+            compiler.fuse_passes = True
         #: Compile each step's mutation attempts as one batch against the
         #: session (parent materialized once); requires a session.
         self.batch_compile = batch_compile and self.session is not None

@@ -110,12 +110,10 @@ class CellSpec:
     #: middle-end memoization).  Sessions are per-cell by construction —
     #: a worker builds its own — so serial==parallel holds.
     session: bool = False
-    #: Route local optimization through the fused single-walk pass.
+    #: Count the flat local round's fused walks (``fused_pass_runs``).
     fuse_passes: bool = False
-    #: Run the optimizer's local rounds over the flat slotted IR buffer.
-    flat_ir: bool = False
-    #: Keep the whole middle end buffer-native (implies ``flat_ir``); the
-    #: default.  ``False`` runs the cell on the object-IR reference.
+    #: Keep the whole middle end buffer-native; the default.  ``False`` runs
+    #: the cell on the object-IR reference.
     flat_native: bool = True
     #: Compile each μCFuzz step's attempt set as one session batch.
     batch_compile: bool = False
@@ -162,9 +160,6 @@ def cell_key(spec: CellSpec) -> str:
         spec.paranoid,
         spec.session,
         spec.fuse_passes,
-        # The path that runs: flat_native implies flat_ir, so a flat-native
-        # cell keys the same whether or not flat_ir was also requested.
-        spec.flat_ir or spec.flat_native,
         spec.flat_native,
         spec.batch_compile,
         spec.schedule,
@@ -262,7 +257,6 @@ def run_cell(spec: CellSpec) -> "CampaignResult":
         paranoid=spec.paranoid,
         session=spec.session,
         fuse_passes=spec.fuse_passes,
-        flat_ir=spec.flat_ir,
         flat_native=spec.flat_native,
         batch_compile=spec.batch_compile,
         scheduler=scheduler,

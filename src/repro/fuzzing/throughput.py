@@ -1,24 +1,25 @@
-"""Fuzzing-throughput measurement: uncached vs. cached vs. incremental vs. session vs. flat-ir vs. flat-native.
+"""Fuzzing-throughput measurement: object-IR reference vs. flat-native arms.
 
 The perf contract of the compile pipeline is measured here: the same μCFuzz
 run (same compiler, seeds, RNG seed — hence an identical step sequence) is
-executed six ways in one process — front end uncached, front-end cache
-only, fully incremental (dirty-region front end plus function-granular
-middle-end replay), session+fused (cross-step middle-end memoization
-through a persistent :class:`~repro.compiler.session.CompileSession`, the
-fused single-walk local pass, and batched per-step compilation),
-flat-ir (everything the session arm does, with the optimizer's local
-rounds running over the flat slotted
-:class:`~repro.compiler.flatir.IRBuffer`), and flat-native (the whole
-middle end buffer-native: buffer-direct irgen, flat inlining/strlen/
-vectorize, and buffer-served journal replay — the object IR is never
-constructed on the hot path, gated by zero ``compiler.bridge`` decodes) —
-and the steps/sec ratios, cache hit-rates, and per-stage timing breakdown
-are written to ``BENCH_throughput.json`` so successive PRs accumulate a
-perf trajectory.  All runs must land on identical final coverage and pool
-sizes: the speedup changes no observable result.  Flat-native is the
-library's default middle end, so every other arm is built with an explicit
-``flat_native=False`` and measures the object-IR path it is named after.
+executed four ways in one process:
+
+* ``reference`` — the object-IR reference (``flat_native=False``), no
+  front-end cache;
+* ``cache_off`` — the flat-native middle end, cold: no front-end cache, no
+  compile session;
+* ``session_off`` — flat-native with the front-end cache, the dirty-region
+  front end and the journal middle end (function-granular replay from the
+  parent's recorded run), no compile session;
+* ``production`` — flat-native with the cache and a persistent
+  :class:`~repro.compiler.session.CompileSession` (cross-step middle-end
+  memoization) plus batched per-step compilation; the object IR is never
+  constructed on the hot path, gated by zero ``compiler.bridge`` decodes.
+
+The steps/sec ratios, cache/session hit-rates, and per-stage timing
+breakdown are written to ``BENCH_throughput.json`` so successive PRs
+accumulate a perf trajectory.  All runs must land on identical final
+coverage and pool sizes: the speedup changes no observable result.
 
 Entry points:
 
@@ -26,8 +27,9 @@ Entry points:
 * ``bench-smoke`` (``pyproject.toml`` script) / :func:`smoke_main` — a tiny
   step budget that asserts the caches are actually hitting (tier-2 CI);
 * ``paranoid-smoke`` / :func:`paranoid_main` — a paranoid-mode run where
-  every incremental compile is differentially checked against a
-  from-scratch compile; any divergence raises;
+  every compile of the default (or, with ``--session``, the production)
+  path is differentially checked against a cold object-IR compile; any
+  divergence raises;
 * :func:`paranoid_cold_main` — the same differential over cold,
   session-less compiles of fresh Csmith-style programs (the generator
   baselines' path), under both personalities.
@@ -75,11 +77,9 @@ def _build_fuzzer(
     cache_maxsize: int | None = None,
     session: bool = False,
     fuse_passes: bool = False,
-    flat_ir: bool = False,
     batch_compile: bool = False,
 ):
-    # ``flat_native`` has no default: an arm pins the object IR explicitly
-    # instead of inheriting the compiler's buffer-native default.
+    # ``flat_native`` has no default: every arm names its middle end.
     import repro.mutators  # noqa: F401  (populate the registry)
     from repro.compiler.driver import Compiler, GCC_SIM
     from repro.fuzzing.mucfuzz import MuCFuzz
@@ -103,7 +103,6 @@ def _build_fuzzer(
         paranoid=paranoid,
         session=True if session else None,
         fuse_passes=fuse_passes,
-        flat_ir=flat_ir,
         flat_native=flat_native,
         batch_compile=batch_compile,
     )
@@ -145,40 +144,41 @@ def _time_run(fuzzer, steps: int) -> dict:
     }
 
 
+#: The throughput arms, slowest path first:
+#: (label, use_cache, flat_native, session).  Every cached arm also runs the
+#: dirty-region front end; the session arm adds batched compilation.
+ARMS = (
+    ("reference", False, False, False),
+    ("cache_off", False, True, False),
+    ("session_off", True, True, False),
+    ("production", True, True, True),
+)
+
+
 def measure_throughput(
     steps: int = DEFAULT_STEPS,
     fuzzer_name: str = "uCFuzz.s",
     n_seeds: int = DEFAULT_SEEDS,
     seed: int = 2024,
 ) -> dict:
-    """Run the uncached through flat-native arms (six of them).
+    """Run the four :data:`ARMS`.
 
-    All runs use the same RNG seed; neither caching, incremental
-    compilation, the compile session, nor the flat IR (buffer passes or the
-    fully buffer-native middle end) consumes fuzzer randomness (the batched
-    step path draws per attempt lazily, in the sequential order), so they
-    execute the identical step sequence and the comparison is
-    apples-to-apples (also sanity-checked via final coverage and pool size,
-    which must match exactly across all six arms).
+    All runs use the same RNG seed; neither the front-end cache, the
+    journal or session middle end, nor the flat IR consumes fuzzer
+    randomness (the batched step path draws per attempt lazily, in the
+    sequential order), so they execute the identical step sequence and the
+    comparison is apples-to-apples (also sanity-checked via final coverage
+    and pool size, which must match exactly across all four arms).
     """
     from repro.fuzzing.seedgen import generate_seeds
 
     seeds = generate_seeds(n_seeds)
     report: dict = {"fuzzer": fuzzer_name, "seed": seed, "n_seeds": n_seeds}
-    variants = (
-        # (label, use_cache, incremental, session, flat_ir, flat_native)
-        ("uncached", False, False, False, False, False),
-        ("cached", True, False, False, False, False),
-        ("incremental", True, True, False, False, False),
-        ("session", True, True, True, False, False),
-        ("flat_ir", True, True, True, True, False),
-        ("flat_native", True, True, True, True, True),
-    )
-    for label, use_cache, incremental, session, flat_ir, flat_native in variants:
+    for label, use_cache, flat_native, session in ARMS:
         fuzzer = _build_fuzzer(
-            fuzzer_name, seeds, seed, use_cache, incremental=incremental,
-            session=session, fuse_passes=session, flat_ir=flat_ir,
-            flat_native=flat_native, batch_compile=session,
+            fuzzer_name, seeds, seed, use_cache, incremental=use_cache,
+            session=session, fuse_passes=session, flat_native=flat_native,
+            batch_compile=session,
         )
         report[label] = _time_run(fuzzer, steps)
         # Read off the compiler: bridge crossings stay out of the stats.
@@ -186,15 +186,14 @@ def measure_throughput(
         report[label]["bridge"] = {
             "encodes": bridge.encodes, "decodes": bridge.decodes,
         }
-    for label in ("cached", "incremental", "session", "flat_ir", "flat_native"):
+    reference = report["reference"]
+    for label, *_ in ARMS[1:]:
         assert (
-            report[label]["final_coverage"]
-            == report["uncached"]["final_coverage"]
+            report[label]["final_coverage"] == reference["final_coverage"]
         ), f"{label} run changed fuzzing coverage"
         assert (
-            report[label]["pool_size"] == report["uncached"]["pool_size"]
+            report[label]["pool_size"] == reference["pool_size"]
         ), f"{label} run changed the mutant pool"
-    uncached_sps = report["uncached"]["steps_per_sec"]
 
     def _ratio(a: "float | None", b: "float | None") -> "float | None":
         # None propagates: a timing too small to measure produces no ratio.
@@ -202,46 +201,26 @@ def measure_throughput(
             return None
         return round(a / b, 3)
 
-    report["speedup"] = _ratio(report["cached"]["steps_per_sec"], uncached_sps)
-    report["speedup_incremental"] = _ratio(
-        report["incremental"]["steps_per_sec"], uncached_sps
+    for label, *_ in ARMS[1:]:
+        report[f"speedup_{label}"] = _ratio(
+            report[label]["steps_per_sec"], reference["steps_per_sec"]
+        )
+    report["speedup"] = report["speedup_production"]
+    report["speedup_production_vs_session_off"] = _ratio(
+        report["production"]["steps_per_sec"],
+        report["session_off"]["steps_per_sec"],
     )
-    report["speedup_incremental_vs_cached"] = _ratio(
-        report["incremental"]["steps_per_sec"],
-        report["cached"]["steps_per_sec"],
-    )
-    report["speedup_session"] = _ratio(
-        report["session"]["steps_per_sec"], uncached_sps
-    )
-    report["speedup_session_vs_incremental"] = _ratio(
-        report["session"]["steps_per_sec"],
-        report["incremental"]["steps_per_sec"],
-    )
-    report["speedup_flat_ir"] = _ratio(
-        report["flat_ir"]["steps_per_sec"], uncached_sps
-    )
-    report["speedup_flat_ir_vs_session"] = _ratio(
-        report["flat_ir"]["steps_per_sec"],
-        report["session"]["steps_per_sec"],
-    )
-    report["speedup_flat_native"] = _ratio(
-        report["flat_native"]["steps_per_sec"], uncached_sps
-    )
-    report["speedup_flat_native_vs_flat_ir"] = _ratio(
-        report["flat_native"]["steps_per_sec"],
-        report["flat_ir"]["steps_per_sec"],
-    )
-    report["cache_hit_rate"] = report["cached"]["stats"].get("cache_hit_rate", 0.0)
-    inc_stats = report["incremental"]["stats"]
+    cached = report["session_off"]["stats"]
+    report["cache_hit_rate"] = cached.get("cache_hit_rate", 0.0)
     report["incremental_hit_rate"] = _ratio(
-        inc_stats.get("cache_incremental_hits", 0),
-        inc_stats.get("cache_incremental_hits", 0)
-        + inc_stats.get("cache_incremental_fallbacks", 0),
+        cached.get("cache_incremental_hits", 0),
+        cached.get("cache_incremental_hits", 0)
+        + cached.get("cache_incremental_fallbacks", 0),
     )
-    report["session_hit_rate"] = report["session"]["stats"].get(
+    report["session_hit_rate"] = report["production"]["stats"].get(
         "middle_session_hit_rate", 0.0
     )
-    report["stage_timings"] = report["incremental"]["profile"]["stage_timings"]
+    report["stage_timings"] = report["production"]["profile"]["stage_timings"]
     return report
 
 
@@ -254,17 +233,14 @@ def write_report(report: dict, path: str | Path = DEFAULT_REPORT) -> Path:
 def run(steps: int, output: str | Path, fuzzer_name: str = "uCFuzz.s") -> dict:
     report = measure_throughput(steps=steps, fuzzer_name=fuzzer_name)
     path = write_report(report, output)
+    rates = " -> ".join(
+        f"{report[label]['steps_per_sec']} ({label})" for label, *_ in ARMS
+    )
     print(
-        f"{report['fuzzer']}: {report['uncached']['steps_per_sec']} -> "
-        f"{report['cached']['steps_per_sec']} (cached) -> "
-        f"{report['incremental']['steps_per_sec']} (incremental) -> "
-        f"{report['session']['steps_per_sec']} (session+fused) -> "
-        f"{report['flat_ir']['steps_per_sec']} (flat-ir) -> "
-        f"{report['flat_native']['steps_per_sec']} (flat-native) steps/sec "
-        f"(flat-native speedup {report['speedup_flat_native']}x over "
-        f"uncached, {report['speedup_flat_native_vs_flat_ir']}x over "
-        f"flat-ir, flat decodes "
-        f"{report['flat_native']['bridge']['decodes']}, "
+        f"{report['fuzzer']}: {rates} steps/sec "
+        f"(production speedup {report['speedup']}x over the reference, "
+        f"{report['speedup_production_vs_session_off']}x over session_off, "
+        f"production decodes {report['production']['bridge']['decodes']}, "
         f"cache hit-rate {report['cache_hit_rate']:.2%}, "
         f"session hit-rate {report['session_hit_rate']:.2%}) -> {path}"
     )
@@ -290,47 +266,28 @@ def smoke_main(argv: list[str] | None = None) -> int:
     report = run(args.steps, args.output)
     if report["cache_hit_rate"] <= 0:
         raise SystemExit("bench-smoke: cache hit-rate is 0 on the hot path")
-    inc_stats = report["incremental"]["stats"]
-    if inc_stats.get("cache_incremental_hits", 0) <= 0:
+    cached_stats = report["session_off"]["stats"]
+    if cached_stats.get("cache_incremental_hits", 0) <= 0:
         raise SystemExit("bench-smoke: incremental front end never hit")
-    sess_stats = report["session"]["stats"]
-    if sess_stats.get("middle_session_hits", 0) <= 0:
+    production_stats = report["production"]["stats"]
+    if production_stats.get("middle_session_hits", 0) <= 0:
         raise SystemExit("bench-smoke: the compile session never hit")
-    # The session arm must change no observable: same coverage and pool as
-    # the incremental arm (both already == uncached via measure_throughput).
-    if (
-        report["session"]["final_coverage"]
-        != report["incremental"]["final_coverage"]
-        or report["session"]["pool_size"] != report["incremental"]["pool_size"]
-    ):
-        raise SystemExit("bench-smoke: session arm diverged from incremental")
-    if report["flat_ir"]["stats"].get("middle_session_hits", 0) <= 0:
-        raise SystemExit("bench-smoke: the flat-ir arm's session never hit")
-    flat_native_stats = report["flat_native"]["stats"]
-    if flat_native_stats.get("middle_session_hits", 0) <= 0:
-        raise SystemExit(
-            "bench-smoke: the flat-native arm's session never hit"
-        )
-    # The bridge-elimination contract: a flat-native run never decodes a
-    # buffer back to object IR on the hot path (encodes would mean irgen
-    # fell back to object emission somewhere).
-    decodes = report["flat_native"]["bridge"]["decodes"]
+    # The bridge-elimination contract: a production run never decodes a
+    # buffer back to object IR on the hot path.
+    decodes = report["production"]["bridge"]["decodes"]
     if decodes != 0:
         raise SystemExit(
-            "bench-smoke: the flat-native arm crossed the IR bridge "
+            "bench-smoke: the production arm crossed the IR bridge "
             f"({decodes} decodes)"
         )
-    # Arm ordering: each optimization layer must not make the pipeline
-    # slower.  A tiny step budget is noisy, so the gate is a generous slack
-    # factor, not strict monotonicity — it catches a de-optimized layer
-    # (2x regressions), not jitter — and only applies once the budget is
-    # large enough to amortize session/cache warmup (below ~40 steps the
+    # Arm ordering: each layer must not make the pipeline slower.  A tiny
+    # step budget is noisy, so the gate is a generous slack factor, not
+    # strict monotonicity — it catches a de-optimized layer (2x
+    # regressions), not jitter — and only applies once the budget is large
+    # enough to amortize session/cache warmup (below ~40 steps the
     # memoizing arms legitimately trail while their stores are cold).
     slack = 0.7
-    order = (
-        "uncached", "cached", "incremental", "session", "flat_ir",
-        "flat_native",
-    )
+    order = [label for label, *_ in ARMS]
     rates = [report[label]["steps_per_sec"] for label in order]
     if args.steps >= 40 and all(rate is not None for rate in rates):
         for i in range(1, len(order)):
@@ -343,36 +300,23 @@ def smoke_main(argv: list[str] | None = None) -> int:
 
 
 def paranoid_main(argv: list[str] | None = None) -> int:
-    """Differential smoke: every incremental compile is cross-checked.
+    """Differential smoke: every compile of the fast path is cross-checked.
 
-    Runs μCFuzz with ``paranoid=True`` — each cached/incremental compile is
-    recompiled from scratch and compared field-for-field; any divergence
-    raises :class:`~repro.cast.incremental.IncrementalDivergence` and fails
-    the run.  Gating is on zero divergences, not on throughput.
+    Runs μCFuzz with ``paranoid=True`` on the default flat-native path —
+    front-end cache, dirty-region front end and journal middle end — or,
+    with ``--session``, on the production path (compile session + batched
+    compilation).  Each compile is recompiled cold on the object-IR
+    reference and compared field-for-field; any divergence raises
+    :class:`~repro.cast.incremental.IncrementalDivergence` and fails the
+    run.  Gating is on zero divergences, not on throughput.
     """
     parser = argparse.ArgumentParser(description="paranoid-smoke")
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=2024)
     parser.add_argument(
         "--session", action="store_true",
-        help="run with a CompileSession (cross-step middle-end memoization)",
-    )
-    parser.add_argument(
-        "--fused", action="store_true",
-        help="route local optimization through the fused single-walk pass",
-    )
-    parser.add_argument(
-        "--flat-ir", action="store_true",
-        help="run the optimizer's local rounds over the flat slotted IR "
-        "(every paranoid check then doubles as a flat-vs-object "
-        "differential)",
-    )
-    parser.add_argument(
-        "--flat-native", action="store_true",
-        help="keep the whole middle end buffer-native (buffer-direct "
-        "irgen, flat inlining, buffer-served journal replay); every "
-        "paranoid check then differentials the flat-native pipeline "
-        "against a cold object-IR compile",
+        help="run with a CompileSession (cross-step middle-end memoization) "
+        "and batched compilation",
     )
     args = parser.parse_args(argv)
     from repro.fuzzing.seedgen import generate_seeds
@@ -380,8 +324,8 @@ def paranoid_main(argv: list[str] | None = None) -> int:
     seeds = generate_seeds(DEFAULT_SEEDS)
     fuzzer = _build_fuzzer(
         "uCFuzz.s", seeds, args.seed, True, incremental=True, paranoid=True,
-        session=args.session, fuse_passes=args.fused, flat_ir=args.flat_ir,
-        flat_native=args.flat_native, batch_compile=args.session,
+        session=args.session, fuse_passes=args.session, flat_native=True,
+        batch_compile=args.session,
     )
     for _ in range(args.steps):
         fuzzer.step()  # IncrementalDivergence propagates and fails the job
@@ -389,13 +333,7 @@ def paranoid_main(argv: list[str] | None = None) -> int:
     inc_hits = stats.get("cache_incremental_hits", 0)
     middle_hits = stats.get("middle_incremental_hits", 0)
     session_hits = stats.get("middle_session_hits", 0)
-    mode = "session+fused" if args.session else "incremental"
-    if args.flat_native:
-        mode = "flat-native+" + mode
-    elif args.flat_ir:
-        mode = "flat-ir+" + mode
-    else:
-        mode = "object+" + mode
+    mode = "flat-native+" + ("session" if args.session else "journal")
     print(
         f"paranoid-smoke[{mode}]: {args.steps} steps, 0 divergences, "
         f"{stats.get('cache_paranoid_checks', 0)} front-end checks, "

@@ -1,24 +1,31 @@
 """The flat-native middle end is the default compile path.
 
-Cold, session-less compiles — the generator baselines' path — run the
-buffer-native middle end unless ``flat_native=False`` asks for the object-IR
-reference, and the two agree field for field on fresh Csmith-style programs
-under both personalities, at every -O level and with every samplable flag.
-The knob means the same thing at every layer that accepts it.
+Every compile runs the buffer-native middle end unless ``flat_native=False``
+asks for the object-IR reference — the plain cold pipeline — and the two
+agree field for field on fresh Csmith-style programs under both
+personalities, at every -O level and with every samplable flag: cold
+(the generator baselines' path), through the front-end cache and journal
+middle end (mutants replayed from their parent's run), and through a
+compile session.  The knob means the same thing at every layer that
+accepts it, and contradictory combinations are refused.
 """
 
 import random
 
 import pytest
 
+from repro.cast.cache import FrontendCache
 from repro.compiler.driver import CLANG_SIM, GCC_SIM, SAMPLABLE_FLAGS, Compiler
 from repro.compiler.flatir import FlatFunction
 from repro.compiler.incremental import assert_results_equal
 from repro.compiler.ir import IRFunction
+from repro.compiler.session import CompileSession
 from repro.fuzzing.baselines.csmith import CSMITH_POLICY
 from repro.fuzzing.campaign import make_fuzzer
+from repro.fuzzing.mucfuzz import MuCFuzz
 from repro.fuzzing.parallel import CellSpec, cell_key, run_cell
 from repro.fuzzing.progen import ProgramGenerator
+from repro.muast.mutator import apply_mutator
 
 PERSONALITIES = {"gcc": GCC_SIM, "clang": CLANG_SIM}
 #: One flag set per program, cycling through every samplable flag plus none.
@@ -54,9 +61,49 @@ def test_cold_default_matches_object_reference(programs, personality, opt_level)
     assert default.bridge.decodes == 0
 
 
+@pytest.mark.parametrize("opt_level", [0, 2, 3])
+@pytest.mark.parametrize("path", ["journal", "session"])
+@pytest.mark.parametrize("personality", sorted(PERSONALITIES))
+def test_warm_default_matches_object_reference(
+    programs, registry, personality, path, opt_level
+):
+    # Each parent is compiled first, so its mutants replay their clean
+    # functions from the parent's journal, or from the session.
+    cache = FrontendCache()
+    session = CompileSession() if path == "session" else None
+    warm = Compiler(*PERSONALITIES[personality], cache=cache, session=session)
+    reference = Compiler(*PERSONALITIES[personality], flat_native=False)
+    rng = random.Random(f"{personality}:{path}:{opt_level}")
+    mutators = registry.supervised()
+    compared = 0
+    for i, text in enumerate(programs[:12]):
+        flags = FLAG_SETS[i % len(FLAG_SETS)]
+        warm.compile(text, opt_level, flags)
+        for _ in range(3):
+            info = rng.choice(mutators)
+            outcome = apply_mutator(info.create(rng), text, cache=cache)
+            if not outcome.changed or not outcome.edits:
+                continue
+            a = warm.compile(
+                outcome.mutant_text, opt_level, flags,
+                edits_from=(text, outcome.edits),
+            )
+            b = reference.compile(outcome.mutant_text, opt_level, flags)
+            assert_results_equal(a, b)
+            assert a.stages == b.stages
+            compared += 1
+    assert compared >= 12
+    if path == "session":
+        assert session.hits > 0
+    else:
+        assert warm.middle_incremental_hits > 0
+    assert warm.bridge.encodes == 0
+    assert warm.bridge.decodes == 0
+
+
 def test_default_is_flat_native(programs):
     compiler = Compiler(*GCC_SIM)
-    assert compiler.flat_native and compiler.flat_ir
+    assert compiler.flat_native
     result = compiler.compile(programs[0])
     assert result.ok
     functions = list(result.module.functions.values())
@@ -66,7 +113,7 @@ def test_default_is_flat_native(programs):
 
 def test_flat_native_false_is_object_ir(programs):
     compiler = Compiler(*GCC_SIM, flat_native=False)
-    assert not compiler.flat_native and not compiler.flat_ir
+    assert not compiler.flat_native
     result = compiler.compile(programs[0])
     assert result.ok
     assert all(
@@ -74,13 +121,20 @@ def test_flat_native_false_is_object_ir(programs):
     )
 
 
-def test_flat_ir_falls_back_to_the_explicit_request():
-    compiler = Compiler(*GCC_SIM, flat_ir=True)
-    compiler.flat_native = False
-    assert compiler.flat_ir
-    compiler = Compiler(*GCC_SIM)
-    compiler.flat_native = False
-    assert not compiler.flat_ir
+def test_object_reference_ignores_cache_and_session(programs):
+    cache = FrontendCache()
+    session = CompileSession()
+    compiler = Compiler(
+        *GCC_SIM, cache=cache, session=session, flat_native=False
+    )
+    result = compiler.compile(programs[0])
+    assert result.ok
+    entry = cache.peek(programs[0])
+    assert entry is not None  # the front end still went through the cache
+    assert not [key for key in entry.memo if key.startswith("middle:")]
+    assert result.coverage.journal is None
+    assert session.hits == session.misses == len(session) == 0
+    assert compiler.middle_incremental_hits == 0
 
 
 def test_paranoid_checks_cold_compiles(programs, monkeypatch):
@@ -113,7 +167,7 @@ def test_make_fuzzer_flat_native_false_selects_object_ir(
         flat_native=False,
     )
     assert fuzzer.compiler is compiler
-    assert not compiler.flat_native and not compiler.flat_ir
+    assert not compiler.flat_native
     modules = []
     for _ in range(4):
         result = fuzzer.step().result
@@ -127,7 +181,7 @@ def test_make_fuzzer_flat_native_false_selects_object_ir(
         name, compiler, small_seeds[:4], registry, random.Random(3),
         flat_native=True,
     )
-    assert compiler.flat_native and compiler.flat_ir
+    assert compiler.flat_native
 
 
 def test_make_fuzzer_default_keeps_the_compiler_setting(registry, small_seeds):
@@ -147,7 +201,48 @@ def test_cell_key_names_the_path(small_seeds):
     flat, obj = CellSpec(**base), CellSpec(**base, flat_native=False)
     assert flat.flat_native
     assert cell_key(flat) != cell_key(obj)
-    # flat_native implies flat_ir: asking for both runs the same path.
-    assert cell_key(flat) == cell_key(CellSpec(**base, flat_ir=True))
     a, b = run_cell(flat), run_cell(obj)
     assert a.to_json() == b.to_json()
+
+
+def test_make_fuzzer_rejects_flat_ir_on_the_object_reference(
+    registry, small_seeds
+):
+    with pytest.raises(ValueError, match="flat_ir"):
+        make_fuzzer(
+            "uCFuzz.s", Compiler(*GCC_SIM), small_seeds[:4], registry,
+            random.Random(3), flat_ir=True, flat_native=False,
+        )
+    # flat_ir is implied by the flat-native path, so asking for both is fine.
+    fuzzer = make_fuzzer(
+        "uCFuzz.s", Compiler(*GCC_SIM), small_seeds[:4], registry,
+        random.Random(3), flat_ir=True, flat_native=True,
+    )
+    assert fuzzer.compiler.flat_native
+
+
+@pytest.mark.parametrize("session", [True, "instance"])
+def test_session_on_the_object_reference_is_refused(
+    registry, small_seeds, session
+):
+    if session == "instance":
+        session = CompileSession()
+    with pytest.raises(ValueError, match="flat-native"):
+        MuCFuzz(
+            Compiler(*GCC_SIM), random.Random(3), small_seeds[:4],
+            registry.supervised(), session=session, flat_native=False,
+        )
+    # The same refusal reaches make_fuzzer, Campaign and run_cell cells.
+    with pytest.raises(ValueError, match="flat-native"):
+        make_fuzzer(
+            "uCFuzz.s", Compiler(*GCC_SIM), small_seeds[:4], registry,
+            random.Random(3), session=True, flat_native=False,
+        )
+    with pytest.raises(ValueError, match="flat-native"):
+        run_cell(
+            CellSpec(
+                fuzzer_name="uCFuzz.s", personality="gcc-sim", version="14",
+                bug_seed=20240427, seeds=tuple(small_seeds[:4]), steps=1,
+                cell_seed=5, session=True, flat_native=False,
+            )
+        )

@@ -184,7 +184,7 @@ class TestBufferEdgeCases:
         obj_ctx = OptContext(cov=CoverageMap(), opt_level=2)
         local_opt(obj_fn, obj_ctx)
         flat_ctx = OptContext(
-            cov=CoverageMap(), opt_level=2, flat=True, flat_native=True
+            cov=CoverageMap(), opt_level=2, flat_native=True
         )
         local_opt(flat_fn, flat_ctx)
         buf = flat_fn.buffer()
@@ -257,7 +257,7 @@ class TestBufferEdgeCases:
         flat_module = FlatIRGen(sema, CoverageMap()).lower(unit)
         obj_ctx = OptContext(cov=CoverageMap(), opt_level=2)
         flat_ctx = OptContext(
-            cov=CoverageMap(), opt_level=2, flat=True, flat_native=True
+            cov=CoverageMap(), opt_level=2, flat_native=True
         )
         for fn in obj_module.functions.values():
             local_opt(fn, obj_ctx)
@@ -285,7 +285,7 @@ class TestBufferEdgeCases:
         flat_module = FlatIRGen(sema, CoverageMap()).lower(unit)
         obj_ctx = OptContext(cov=CoverageMap(), opt_level=2)
         flat_ctx = OptContext(
-            cov=CoverageMap(), opt_level=2, flat=True, flat_native=True
+            cov=CoverageMap(), opt_level=2, flat_native=True
         )
         for fn in obj_module.functions.values():
             local_opt(fn, obj_ctx)
@@ -334,10 +334,6 @@ done:
 
 
 class TestFlatNativeCompile:
-    def test_knob_implies_flat_ir(self):
-        compiler = Compiler(*GCC_SIM, flat_native=True)
-        assert compiler.flat_native and compiler.flat_ir
-
     @pytest.mark.parametrize("arm", ["plain", "cache", "session"])
     def test_matches_object_compile(self, arm):
         ref = Compiler(*GCC_SIM, flat_native=False).compile(_PROGRAM, 2, ())
@@ -383,13 +379,15 @@ class TestFlatNativeCompile:
 
 class TestFlatNativeCampaign:
     def _run(self, flat_native, steps=25):
+        # The flat-native arm runs the production session; the object-IR
+        # reference takes the plain pipeline, which never uses a session.
         compiler = Compiler(*GCC_SIM, flat_native=flat_native)
         fuzzer = MuCFuzz(
             compiler,
             random.Random(11),
             ["int main(void) { return 0; }"],
             global_registry.supervised(),
-            session=True,
+            session=flat_native,
             incremental=True,
             flat_native=flat_native,
         )

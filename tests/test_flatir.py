@@ -25,7 +25,6 @@ from repro.compiler.irgen import IRGen
 from repro.compiler.passes import OptContext, local_opt, cleanup_opt
 from repro.compiler.session import CompileSession
 from repro.fuzzing.mucfuzz import MuCFuzz
-from repro.fuzzing.parallel import CellSpec, cell_key
 from repro.fuzzing.progen import GenPolicy, ProgramGenerator
 from repro.muast.registry import global_registry
 from repro.muast.mutator import apply_mutator
@@ -127,7 +126,9 @@ class TestFlatOptEquivalence:
             flat_fn = copy.deepcopy(module.functions[name])
             obj_ctx = OptContext(cov=CoverageMap(), opt_level=opt_level)
             local_opt(obj_fn, obj_ctx)
-            flat_ctx = OptContext(cov=CoverageMap(), opt_level=opt_level, flat=True)
+            flat_ctx = OptContext(
+                cov=CoverageMap(), opt_level=opt_level, flat_native=True
+            )
             local_opt(flat_fn, flat_ctx)
             assert flat_fn.dump() == obj_fn.dump(), f"IR diverged for {name} in:\n{text}"
             assert frozenset(flat_ctx.cov.edges) == frozenset(obj_ctx.cov.edges)
@@ -159,7 +160,7 @@ class TestFlatOptEquivalence:
                 obj_fn = copy.deepcopy(module.functions[name])
                 flat_fn = copy.deepcopy(module.functions[name])
                 obj_ctx = OptContext(cov=CoverageMap(), opt_level=2)
-                flat_ctx = OptContext(cov=CoverageMap(), opt_level=2, flat=True)
+                flat_ctx = OptContext(cov=CoverageMap(), opt_level=2, flat_native=True)
                 cleanup_opt(obj_fn, obj_ctx)
                 cleanup_opt(flat_fn, flat_ctx)
                 assert flat_fn.dump() == obj_fn.dump()
@@ -168,21 +169,23 @@ class TestFlatOptEquivalence:
 
     def test_fused_runs_counted_only_with_fuse(self):
         module = _lower("int main(void) { return 2 + 3; }")
-        flat_only = OptContext(cov=CoverageMap(), opt_level=2, flat=True)
+        flat_only = OptContext(cov=CoverageMap(), opt_level=2, flat_native=True)
         local_opt(copy.deepcopy(module.functions["main"]), flat_only)
         assert flat_only.fused_runs == 0
-        flat_fused = OptContext(cov=CoverageMap(), opt_level=2, flat=True, fuse=True)
+        flat_fused = OptContext(
+            cov=CoverageMap(), opt_level=2, flat_native=True, fuse=True
+        )
         local_opt(copy.deepcopy(module.functions["main"]), flat_fused)
         assert flat_fused.fused_runs == 1
 
 
 class TestFlatCompileEquivalence:
-    """Whole flat-ir compiles == whole object-IR compiles, field for field."""
+    """Session-served flat-native compiles == the object-IR reference."""
 
     def _compilers(self):
         flat = Compiler(
             *GCC_SIM, cache=FrontendCache(), session=CompileSession(),
-            fuse_passes=True, flat_ir=True, flat_native=False,
+            fuse_passes=True,
         )
         return flat, Compiler(*GCC_SIM, flat_native=False)
 
@@ -243,20 +246,6 @@ class TestFlatInterpreter:
 
 
 class TestFunctionSnapshot:
-    def test_materialize_equals_deepcopy(self, small_seeds):
-        for text in small_seeds[:10]:
-            module = _lower(text)
-            if module is None:
-                continue
-            for fn in module.functions.values():
-                snap = FunctionSnapshot.of(fn)
-                assert snap.materialize().dump() == copy.deepcopy(fn).dump()
-
-    def test_materialize_is_memoized(self):
-        module = _lower("int main(void) { return 7; }")
-        snap = FunctionSnapshot.of(module.functions["main"])
-        assert snap.materialize() is snap.materialize()
-
     def test_snapshot_is_isolated_from_source_mutation(self):
         module = _lower("int main(void) { int x = 1; return x + 2; }")
         fn = module.functions["main"]
@@ -264,7 +253,7 @@ class TestFunctionSnapshot:
         snap = FunctionSnapshot.of(fn)
         local_opt(fn, OptContext(cov=CoverageMap(), opt_level=2))
         assert fn.dump() != before  # the local round actually changed it
-        assert snap.materialize().dump() == before
+        assert to_nodes(snap.buf).dump() == before
 
 
 class TestDeclDigestMemo:
@@ -332,31 +321,32 @@ class TestFlatKnobPlumbing:
         comp = Compiler(*GCC_SIM)
         fuzzer = MuCFuzz(
             comp, random.Random(1), small_seeds[:4], registry.supervised(),
-            flat_ir=True,
+            flat_native=False,
         )
-        assert comp.flat_ir is True
+        assert comp.flat_native is False
         fuzzer.step()
-
-    def test_cell_key_includes_flat_ir(self, small_seeds):
-        base = dict(
-            fuzzer_name="uCFuzz.s", personality="gcc-sim", version="14",
-            bug_seed=20240427, seeds=tuple(small_seeds[:2]), steps=3,
-            cell_seed=7, flat_native=False,
+        MuCFuzz(
+            comp, random.Random(1), small_seeds[:4], registry.supervised(),
+            flat_native=True,
         )
-        assert cell_key(CellSpec(**base, flat_ir=True)) != cell_key(
-            CellSpec(**base)
-        )
+        assert comp.flat_native is True
 
     def test_flat_campaign_matches_object_campaign(self, registry, small_seeds):
         from repro.fuzzing.campaign import run_campaign
 
         def run(flat):
             comp = Compiler(*GCC_SIM)
-            fuzzer = MuCFuzz(
-                comp, random.Random(5), list(small_seeds[:6]),
-                registry.supervised(), session=True, fuse_passes=True,
-                flat_ir=flat, flat_native=False, batch_compile=True,
-            )
+            if flat:
+                fuzzer = MuCFuzz(
+                    comp, random.Random(5), list(small_seeds[:6]),
+                    registry.supervised(), session=True, fuse_passes=True,
+                    batch_compile=True,
+                )
+            else:
+                fuzzer = MuCFuzz(
+                    comp, random.Random(5), list(small_seeds[:6]),
+                    registry.supervised(), flat_native=False,
+                )
             return run_campaign(fuzzer, steps=12)
 
         a, b = run(True), run(False)

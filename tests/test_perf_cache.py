@@ -250,7 +250,7 @@ class TestThroughputBench:
         report = measure_throughput(steps=6, n_seeds=6)
         assert report["cache_hit_rate"] > 0
         assert (
-            report["cached"]["final_coverage"]
-            == report["uncached"]["final_coverage"]
+            report["production"]["final_coverage"]
+            == report["reference"]["final_coverage"]
         )
-        assert report["cached"]["steps"] == report["uncached"]["steps"] == 6
+        assert report["production"]["steps"] == report["reference"]["steps"] == 6

@@ -1,19 +1,19 @@
-"""Compile session: fused-pass equivalence + cross-step middle-end memoization.
+"""Compile session: fused-round equivalence + cross-step middle-end memoization.
 
 Two contracts are under test here:
 
-* the fused single-walk ``const_fold+forward_store+cse`` round
-  (:func:`repro.compiler.passes.fused.fused_local_opt`) is bit-identical —
-  IR dump, coverage edges, and stats counters — to the sequential pass
-  order it replaces, over seed programs, mutator-produced mutants, and
-  randomly generated programs;
+* the fused single-walk local round — the flat-native
+  :func:`repro.compiler.passes.flat.flat_local_opt`, run on buffer-direct
+  :class:`~repro.compiler.irgen.FlatIRGen` functions — is bit-identical —
+  IR dump, coverage edges, and stats counters — to the sequential object
+  pass order of the reference, over seed programs, mutator-produced
+  mutants, and randomly generated programs;
 * a :class:`repro.compiler.session.CompileSession` replays interned
   per-function middle-end artifacts without changing any observable of
-  ``Compiler.compile`` (checked against from-scratch compiles), and a
-  campaign routed twice through one warm session is bit-identical.
+  ``Compiler.compile`` (checked against the cold object-IR reference), and
+  a campaign routed twice through one warm session is bit-identical.
 """
 
-import copy
 import random
 
 import pytest
@@ -24,7 +24,7 @@ from repro.cast.sema import Sema
 from repro.compiler import GCC_SIM, Compiler
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.incremental import assert_results_equal
-from repro.compiler.irgen import IRGen, LoweringError
+from repro.compiler.irgen import FlatIRGen, IRGen, LoweringError
 from repro.compiler.passes import OptContext, local_opt
 from repro.compiler.session import CompileSession
 from repro.fuzzing.campaign import run_campaign
@@ -34,13 +34,13 @@ from repro.muast.mutator import apply_mutator
 from repro.muast.registry import global_registry
 
 
-def _lower(text):
+def _lower(text, irgen=IRGen):
     unit = parse(text)
     sema = Sema()
     if [d for d in sema.analyze(unit) if d.severity == "error"]:
         return None
     try:
-        return IRGen(sema, CoverageMap()).lower(unit)
+        return irgen(sema, CoverageMap()).lower(unit)
     except (LoweringError, RecursionError):
         return None
 
@@ -61,30 +61,31 @@ def _mutant_corpus(seeds, n=24):
     return texts
 
 
-def _opt_observables(fn, opt_level=2):
-    """(dump, edges, stats) after local optimization of a copy of ``fn``."""
-    ctx = OptContext(cov=CoverageMap(), opt_level=opt_level)
+def _opt_observables(fn, ctx):
+    """(dump, edges, stats) after the local round of ``fn`` under ``ctx``."""
     local_opt(fn, ctx)
-    return fn.dump(), frozenset(ctx.cov.edges), dict(ctx.stats.counters), ctx
+    return fn.dump(), frozenset(ctx.cov.edges), dict(ctx.stats.counters)
 
 
 class TestFusedEquivalence:
-    """fused_local_opt == the sequential const_fold/.../dce fixpoint."""
+    """The fused flat round == the sequential object-IR fixpoint."""
 
     def _check_program(self, text):
         module = _lower(text)
         if module is None:
             return 0
+        flat_module = _lower(text, FlatIRGen)
         checked = 0
-        for name in module.functions:
-            seq_fn = copy.deepcopy(module.functions[name])
-            fus_fn = copy.deepcopy(module.functions[name])
-            seq_dump, seq_edges, seq_stats, seq_ctx = _opt_observables(seq_fn)
-            fus_ctx = OptContext(cov=CoverageMap(), opt_level=2, fuse=True)
-            local_opt(fus_fn, fus_ctx)
-            assert fus_fn.dump() == seq_dump, f"IR diverged for {name} in:\n{text}"
-            assert frozenset(fus_ctx.cov.edges) == seq_edges
-            assert dict(fus_ctx.stats.counters) == seq_stats
+        for name, fn in module.functions.items():
+            seq_ctx = OptContext(cov=CoverageMap(), opt_level=2, fuse=True)
+            fus_ctx = OptContext(
+                cov=CoverageMap(), opt_level=2, flat_native=True, fuse=True
+            )
+            seq = _opt_observables(fn, seq_ctx)
+            fused = _opt_observables(flat_module.functions[name], fus_ctx)
+            assert fused[0] == seq[0], f"IR diverged for {name} in:\n{text}"
+            assert fused[1:] == seq[1:]
+            # Only the flat round fuses; the object reference never does.
             assert fus_ctx.fused_runs == 1 and seq_ctx.fused_runs == 0
             checked += 1
         return checked
@@ -107,8 +108,10 @@ class TestFusedEquivalence:
     def test_fused_runs_outside_compared_stats(self):
         # fused_runs lives on the context, never in the stats counters the
         # paranoid feature comparison sees.
-        module = _lower("int main(void) { return 2 + 3; }")
-        ctx = OptContext(cov=CoverageMap(), opt_level=2, fuse=True)
+        module = _lower("int main(void) { return 2 + 3; }", FlatIRGen)
+        ctx = OptContext(
+            cov=CoverageMap(), opt_level=2, flat_native=True, fuse=True
+        )
         local_opt(module.functions["main"], ctx)
         assert ctx.fused_runs == 1
         assert "fused_runs" not in ctx.stats.counters
@@ -247,7 +250,8 @@ class TestSessionFuzzing:
         # between warm/cold session runs (batching materializes parents →
         # different cache-hit counts; the session supersedes the journal
         # middle end → zero middle_incremental hits; session/fused counters
-        # accumulate across runs sharing one session).  Everything
+        # accumulate across runs sharing one session; only flat-native runs
+        # count fused rounds).  Everything
         # *behavioral* — coverage trend, crashes, pool, attempts, RNG-driven
         # counters — must be bit-identical.
         payload["stats"] = {
@@ -263,14 +267,14 @@ class TestSessionFuzzing:
         with_session = run_campaign(
             self._fuzzer(CompileSession(), seeds, registry), steps=25
         )
-        without = run_campaign(
+        reference = run_campaign(
             MuCFuzz(
                 Compiler(*GCC_SIM), random.Random(7), seeds,
-                registry.supervised(),
+                registry.supervised(), flat_native=False,
             ),
             steps=25,
         )
-        assert self._comparable(with_session) == self._comparable(without)
+        assert self._comparable(with_session) == self._comparable(reference)
         assert with_session.stats["middle_session_hits"] > 0
 
     def test_same_campaign_twice_through_one_session(self, registry, small_seeds):
@@ -296,6 +300,30 @@ class TestSessionFuzzing:
         for _ in range(15):
             fuzzer.step()  # any divergence raises IncrementalDivergence
         assert fuzzer.session.paranoid_checks > 0
+
+    def test_paranoid_fuzzing_under_eviction(self, registry, small_seeds):
+        # Stores far smaller than the working set: front-end entries (and
+        # the journal memos riding on them) and session records are evicted
+        # and re-derived all the time, and every compile must still match
+        # the cold object-IR reference.
+        session = CompileSession(maxsize=8)
+        fuzzer = MuCFuzz(
+            Compiler(*GCC_SIM),
+            random.Random(13),
+            small_seeds[:8],
+            registry.supervised(),
+            cache_maxsize=4,
+            session=session,
+            fuse_passes=True,
+            batch_compile=True,
+            paranoid=True,
+        )
+        for _ in range(60):
+            fuzzer.step()  # any divergence raises IncrementalDivergence
+        stats = fuzzer.stats_snapshot()
+        assert stats["cache_evictions"] > 0
+        assert stats["middle_session_evictions"] > 0
+        assert stats["middle_session_paranoid_checks"] > 0
 
     def test_campaign_cell_specs_carry_session_knobs(self, registry, small_seeds):
         from repro.fuzzing.campaign import Campaign
