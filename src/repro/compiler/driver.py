@@ -18,19 +18,19 @@ from repro.cast.cache import (
     analyze_front_end,
     decl_digests,
 )
+from repro.cast.incremental import IncrementalDivergence
 from repro.compiler import features as feat
 from repro.compiler.bugs import BugRegistry
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.crash import CompilerCrash, CompilerHang
 from repro.compiler.flatir import BridgeCounters
-from repro.compiler.incremental import (
-    assert_results_equal,
-    lower_and_optimize,
-    middle_memo_key,
-)
 from repro.compiler.ir import IRModule
 from repro.compiler.middle import PlainRun, run_middle
-from repro.compiler.session import CompileSession, lower_and_optimize_session
+from repro.compiler.session import (
+    CompileSession,
+    lower_and_optimize_session,
+    middle_memo_key,
+)
 from repro.telemetry.spans import Tracer
 
 #: Sentinel for "use the compiler's own session" on per-call overrides.
@@ -81,7 +81,6 @@ class Compiler:
         bug_seed: int = 20240427,
         cache: FrontendCache | None = None,
         session: CompileSession | None = None,
-        fuse_passes: bool = False,
         flat_native: bool = True,
     ) -> None:
         assert personality in ("gcc-sim", "clang-sim")
@@ -95,14 +94,12 @@ class Compiler:
         #: Optional cross-step middle-end session; ``compile(session=...)``
         #: overrides (``session=None`` there forces a session-less compile).
         self.session = session
-        #: Count the flat local round's fused walks in ``fused_pass_runs``.
-        self.fuse_passes = fuse_passes
         #: Keep the whole middle end buffer-native: irgen emits
         #: :class:`~repro.compiler.flatir.IRBuffer` rows directly, the
         #: passes run their flat ports, the backend walks the live buffer,
-        #: and a front-end cache or compile session replays buffer records.
-        #: The default production path.  ``flat_native=False`` is the
-        #: object-IR reference: the plain cold pipeline of
+        #: and a compile session replays buffer records.  The default
+        #: production path.  ``flat_native=False`` is the object-IR
+        #: reference: the plain cold pipeline of
         #: :mod:`repro.compiler.middle`, whatever cache or session the
         #: compile is handed.  Bit-identical observable behaviour.
         self.flat_native = flat_native
@@ -111,19 +108,12 @@ class Compiler:
         #: copied into fuzzer stats: they stay outside the compared
         #: feature/stats space, whichever middle end runs.
         self.bridge = BridgeCounters()
-        #: Fused fixpoint loops executed (deliberately outside the compared
-        #: feature/stats space — see ``OptContext.fused_runs``).
-        self.fused_pass_runs = 0
         #: Wall-clock seconds per pipeline stage (lex/parse/sema via the
         #: cache, plus irgen/opt/backend), accumulated across compiles.
         self.stage_timings: Counter = Counter()
         #: Stage spans accumulate into ``stage_timings``; a fuzzer's
         #: telemetry session may attach its sink/clock for event emission.
         self.tracer = Tracer(timings=self.stage_timings)
-        #: Compiles served by function-granular middle-end replay, and
-        #: incremental attempts that aborted back to a full middle end.
-        self.middle_incremental_hits = 0
-        self.middle_incremental_fallbacks = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Compiler {self.name}>"
@@ -144,11 +134,11 @@ class Compiler:
 
         ``edits_from=(parent_text, edit_script)`` names the already-compiled
         program this text was mutated from, enabling dirty-region front-end
-        reuse and function-granular middle-end replay.  ``session`` (default:
-        the compiler's own) interns per-function middle-end artifacts across
-        compiles; pass ``session=None`` explicitly to force a session-less
-        run.  A ``flat_native=False`` compile runs the plain object-IR
-        middle end and never journals or consults a session.
+        reuse.  ``session`` (default: the compiler's own) interns
+        per-function middle-end artifacts across compiles and replays them;
+        pass ``session=None`` explicitly to force a session-less run, which
+        takes the plain middle end.  A ``flat_native=False`` compile runs
+        the plain object-IR middle end and never consults a session.
         ``paranoid=True`` cross-checks every compile off the reference path
         (flat-native or front-end cached) against a cold
         ``flat_native=False`` one and raises ``IncrementalDivergence`` on
@@ -164,15 +154,12 @@ class Compiler:
         }
         result.features = features
         cache = cache if cache is not None else self.cache
-        journal: list | None = None
-        if self.flat_native and (cache is not None or session is not None):
-            journal = cov.journal = []
         stages = ["frontend"]
         try:
             self._run_pipeline(
                 source_text, opt_level, flags, cov, features, result,
                 cache, edits_from=edits_from, paranoid=paranoid,
-                journal=journal, stages=stages, session=session,
+                stages=stages, session=session,
             )
         except CompilerCrash as crash:
             result.ok = False
@@ -284,7 +271,6 @@ class Compiler:
         *,
         edits_from: tuple[str, tuple] | None,
         paranoid: bool,
-        journal: list | None,
         stages: list,
         session: "CompileSession | None",
     ) -> None:
@@ -321,16 +307,9 @@ class Compiler:
         # ---- Middle + back end. --------------------------------------------
         stages.append("middle")
         if session is not None:
-            # The session path supersedes the journal/parent-memo machinery:
-            # reuse is content-keyed, so it fires across steps and lineages.
             lower_and_optimize_session(
                 self, session, entry, opt_level, flags, cov, features,
-                result, journal=journal, plan=plan, stages=stages,
-            )
-        elif journal is not None:
-            lower_and_optimize(
-                self, entry, opt_level, flags, cov, features, result,
-                journal=journal, plan=plan, stages=stages,
+                result, plan=plan, stages=stages,
             )
         else:
             run_middle(
@@ -344,6 +323,53 @@ class Compiler:
             # clang-sim's pipeline always vectorizes at -O2 like LLVM.
             extra = ("-ftree-vectorize",)
         return tuple(flags) + extra
+
+
+def assert_results_equal(inc, full) -> None:
+    """Raise :class:`IncrementalDivergence` unless two CompileResults match.
+
+    ``inc`` is the result produced off the reference path (flat-native,
+    front-end cached or session-served), ``full`` a cold object-IR compile
+    of the same text and options.  Every observable field must agree;
+    modules are compared by dump.
+    """
+
+    def _fail(aspect: str, a, b):
+        raise IncrementalDivergence(
+            f"paranoid middle-end check failed on {aspect}: {a!r} != {b!r}"
+        )
+
+    if inc.ok != full.ok:
+        _fail("ok", inc.ok, full.ok)
+    if list(inc.diagnostics) != list(full.diagnostics):
+        _fail("diagnostics", inc.diagnostics, full.diagnostics)
+    inc_crash = inc.crash.bug_id if inc.crash else None
+    full_crash = full.crash.bug_id if full.crash else None
+    if inc_crash != full_crash:
+        _fail("crash", inc_crash, full_crash)
+    inc_hang = inc.hang.bug_id if inc.hang else None
+    full_hang = full.hang.bug_id if full.hang else None
+    if inc_hang != full_hang:
+        _fail("hang", inc_hang, full_hang)
+    if inc.asm != full.asm:
+        _fail("asm", len(inc.asm), len(full.asm))
+    if inc.coverage.edges != full.coverage.edges:
+        only_inc = list(inc.coverage.edges - full.coverage.edges)[:4]
+        only_full = list(full.coverage.edges - inc.coverage.edges)[:4]
+        _fail("coverage edges", only_inc, only_full)
+    if dict(inc.features) != dict(full.features):
+        diff = {
+            k: (inc.features.get(k), full.features.get(k))
+            for k in set(inc.features) | set(full.features)
+            if inc.features.get(k) != full.features.get(k)
+        }
+        _fail("features", diff, "")
+    if inc.cost != full.cost:
+        _fail("cost", inc.cost, full.cost)
+    inc_dump = inc.module.dump() if inc.module is not None else None
+    full_dump = full.module.dump() if full.module is not None else None
+    if inc_dump != full_dump:
+        _fail("module", len(inc_dump or ""), len(full_dump or ""))
 
 
 @dataclass(frozen=True)

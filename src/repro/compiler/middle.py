@@ -4,13 +4,13 @@
 end succeeded: lower the unit, run the pass schedule
 (:func:`~repro.compiler.passes.run_pipeline`), emit assembly, firing the
 seeded-bug checkpoints between the stages.  What each stage does comes from
-a *run* object.  :class:`PlainRun` is the plain cold pipeline —
+a *run* object.  :class:`PlainRun` is the plain pipeline —
 ``IRGen|FlatIRGen.lower(unit)``, ``run_pipeline``, ``lower_to_asm`` — that
-every compile without a front-end cache or a compile session takes, and
-that every ``flat_native=False`` compile (the object-IR reference) takes
-whatever cache or session it is handed.  The replay engines
-(:mod:`repro.compiler.incremental`, :mod:`repro.compiler.session`) supply
-runs of their own that replay clean functions instead of recompiling them.
+every compile without a compile session takes (cold or after a cached
+front end), and that every ``flat_native=False`` compile (the object-IR
+reference) takes whatever cache or session it is handed.  The compile
+session (:mod:`repro.compiler.session`) supplies a run of its own that
+replays clean functions instead of recompiling them.
 """
 
 from __future__ import annotations
@@ -83,7 +83,6 @@ def run_middle(
             opt_level=opt_level,
             flags=compiler._personality_flags(flags),
             checkpoint=run.checkpoint,
-            fuse=compiler.fuse_passes,
             flat_native=compiler.flat_native,
             bridge=compiler.bridge,
         )
@@ -91,7 +90,6 @@ def run_middle(
         run.optimize(module, ctx)
     features.update(ctx.stats.counters)
     compiler.bugs.check("optimization", features)
-    compiler.fused_pass_runs += ctx.fused_runs
 
     with span(compiler.tracer, "backend"):
         be = run.backend(module, ctx)

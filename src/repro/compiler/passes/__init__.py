@@ -105,11 +105,11 @@ def run_pipeline(module, ctx: OptContext, drive=None, candidates=None) -> None:
     ``-ftree-vectorize`` the loop vectorizer.  ``ctx.flat_native`` selects
     the buffer ports of the stages; otherwise the object-IR stages run.
 
-    The replay engines (:mod:`repro.compiler.incremental`,
-    :mod:`repro.compiler.session`) reuse the schedule through two hooks:
+    The compile session (:mod:`repro.compiler.session`) reuses the schedule
+    through two hooks:
 
     * ``drive(phase, fn, run)`` is called instead of ``run(fn)`` for every
-      (phase, function) pair, so an engine can replay a clean function's
+      (phase, function) pair, so the session can replay a clean function's
       recorded events in place of running the stage;
     * ``candidates(module, own)`` is called once every local round has
       run, with the module's own inline candidates (callee name -> body),

@@ -14,8 +14,8 @@ from repro.compiler.ir import Block, IRFunction, Operand, Temp
 class OptStats:
     counters: Counter = field(default_factory=Counter)
     #: Optional event sink mirroring :attr:`CoverageMap.journal`: every bump
-    #: is appended as ``("stat", key, n)`` so the incremental middle end can
-    #: replay an unchanged function's statistics without re-running passes.
+    #: is appended as ``("stat", key, n)`` so a compile session can replay
+    #: an unchanged function's statistics without re-running passes.
     journal: list | None = field(default=None, repr=False, compare=False)
 
     def bump(self, key: str, n: int = 1) -> None:
@@ -36,13 +36,6 @@ class OptContext:
     #: Hook invoked at named points with the evolving feature dict; the bug
     #: registry uses it to fire seeded crashes mid-pass.
     checkpoint: Callable[[str, dict], None] | None = None
-    #: Count fused fixpoint loops in :attr:`fused_runs`.  The flat local
-    #: round always runs as one fused walk; this only turns the counting on.
-    fuse: bool = False
-    #: How many fused fixpoint loops ran under this context.  Deliberately
-    #: *not* an :class:`OptStats` counter: stats feed the compared feature
-    #: dict, and fused vs. sequential runs must stay bit-identical there.
-    fused_runs: int = 0
     #: Keep the whole middle end on the buffer: irgen emits buffers, and the
     #: local/cleanup rounds, inlining, strlen, vectorize and the backend run
     #: their flat ports.  ``False`` is the object-IR reference; results are
@@ -50,9 +43,8 @@ class OptContext:
     flat_native: bool = False
     #: Per-compiler :class:`~repro.compiler.flatir.BridgeCounters`, threaded
     #: through so passes can charge any object<->buffer bridge crossing they
-    #: cause.  Like :attr:`fused_runs`, deliberately not an ``OptStats``
-    #: counter: bridge accounting must not leak into the compared feature
-    #: dict or the replay journal.
+    #: cause.  Deliberately not an ``OptStats`` counter: bridge accounting
+    #: must not leak into the compared feature dict or the replay journal.
     bridge: object | None = None
 
     def flag(self, name: str) -> bool:

@@ -553,13 +553,9 @@ def flat_local_opt(fn, ctx) -> None:
     """The per-function -O1 fixpoint round over the flat buffer.
 
     Always runs the fused walk (bit-identical in IR, coverage, and stats to
-    the sequential object round); ``fused_runs`` is only bumped when the
-    context asked for fusion, keeping that non-stat diagnostic comparable
-    across knobs.
+    the sequential object round).
     """
     buf, writeback = _enter_buffer(fn, ctx)
-    if ctx.fuse:
-        ctx.fused_runs += 1
     changed = True
     rounds = 0
     while changed and rounds < 4:

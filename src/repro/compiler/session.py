@@ -1,15 +1,15 @@
 """Cross-step middle-end compile sessions: content-keyed IR interning.
 
-PR 3's incremental middle end replays a clean function's journal slice from
-its *parent's* recorded run — every mutant still pays O(parent events) per
-clean function, and the reuse chain is pinned to one parent lineage.  A
-:class:`CompileSession` generalizes that into a persistent, cross-step store:
-per-function middle-end artifacts (IR generation replay segments, per-phase
-optimizer segments, the final post-pipeline IR carrier, backend asm/stats) are
-interned under a **content key** that captures everything the function's
-middle-end run can observe.  Any mutant whose function hashes to a known key
-skips irgen, the optimizer, and the backend for that function entirely —
-regardless of which program the record was made in.
+The fuzzing hot path compiles mutants that differ from an already-compiled
+program in one or two top-level declarations.  A :class:`CompileSession` is
+a persistent, cross-step store of per-function middle-end artifacts (IR
+generation replay segments, per-phase optimizer segments, the final
+post-pipeline IR carrier, backend asm/stats), interned under a **content
+key** that captures everything the function's middle-end run can observe.
+Any mutant whose function hashes to a known key skips irgen, the optimizer,
+and the backend for that function entirely — regardless of which program
+the record was made in.  It is the only replay engine: a compile without a
+session runs the plain pipeline of :mod:`repro.compiler.middle`.
 
 The key must cover all cross-declaration state the middle end reads:
 
@@ -35,6 +35,12 @@ whenever the current module's candidate situation differs (a dirty function
 is or was a candidate, candidate sets disagree across records, or a
 candidate's body key changed).
 
+While a declaration is lowered live, one ordered **journal** records each
+observable event — coverage hits (``("cov", site, outcome)``), optimizer
+statistics (``("stat", key, n)``) and bug-checkpoint firings (``("check",
+point, extra)``) — sliced per declaration (irgen), per (phase, function)
+(optimizer) and per function (backend).
+
 Replay is segment-compiled: each recorded journal slice is split at
 bug-checkpoint events into ``(coverage edge set, stats deltas, checkpoint)``
 segments.  Coverage applies as one bulk set-union and stats as direct counter
@@ -47,7 +53,7 @@ Sessions serve flat-native compiles only: the records hold
 ``flat_native=False`` compile (the object-IR reference) never consults one.
 ``paranoid=True`` on :meth:`Compiler.compile` cross-checks every
 session-served compile against that reference via
-:func:`~repro.compiler.incremental.assert_results_equal`.
+:func:`~repro.compiler.driver.assert_results_equal`.
 """
 
 from __future__ import annotations
@@ -55,16 +61,11 @@ from __future__ import annotations
 from collections import Counter, OrderedDict
 from dataclasses import dataclass, field
 
+from repro.cast import ast_nodes as ast
 from repro.cast.cache import decl_digests, source_digest
 from repro.compiler.backend import BackendResult, _lower_function, lower_to_asm
 from repro.compiler.flatir import FunctionSnapshot
 from repro.compiler.ir import IRFunction, IRModule
-from repro.compiler.incremental import (
-    _MiddleAbort,
-    _decl_kind,
-    _stats_delta,
-    middle_memo_key,
-)
 from repro.compiler.middle import irgen_for, run_middle
 from repro.compiler.passes import OptContext, run_pipeline
 from repro.telemetry.spans import span
@@ -75,6 +76,33 @@ from repro.telemetry.spans import span
 DEFAULT_SESSION_SIZE = 4096
 #: Default bound on whole-result memos (same-text recompiles).
 DEFAULT_RESULT_SIZE = 2048
+
+
+class _MiddleAbort(Exception):
+    """Internal: session reuse hit an ineligible state."""
+
+
+def middle_memo_key(
+    name: str, bug_seed: int, opt_level: int, flags: tuple
+) -> str:
+    """Memo key for one (personality, bug seed, options) middle-end run."""
+    return f"middle:{name}:{bug_seed}:{opt_level}:{','.join(flags)}"
+
+
+def _stats_delta(before: Counter, after: Counter) -> tuple:
+    return tuple(
+        (k, after[k] - before.get(k, 0))
+        for k in after
+        if after[k] != before.get(k, 0)
+    )
+
+
+def _decl_kind(decl) -> tuple[str, str | None]:
+    if isinstance(decl, ast.FunctionDecl) and decl.body is not None:
+        return "fn", decl.name
+    if isinstance(decl, ast.VarDecl):
+        return "var", decl.name
+    return "other", getattr(decl, "name", None)
 
 
 def _digest(*parts) -> str:
@@ -550,22 +578,23 @@ def lower_and_optimize_session(
     features: dict,
     result,
     *,
-    journal: list,
     plan=None,
     stages: list,
 ) -> None:
     """The session-backed middle end + back end of ``Compiler.compile``.
 
-    Replaces :func:`repro.compiler.incremental.lower_and_optimize` when the
-    compile carries a :class:`CompileSession`: per-function reuse is keyed on
-    content, not parent lineage, so it also fires across steps, across pool
-    members, and on mutants of mutants.  A reuse inconsistency aborts to a
-    fully live run that re-records every declaration.
+    Runs when the compile carries a :class:`CompileSession`: per-function
+    reuse is keyed on content, not parent lineage, so it fires across
+    steps, across pool members, and on mutants of mutants.  A reuse
+    inconsistency aborts to a fully live run that re-records every
+    declaration.  Live work records its events into a coverage journal
+    attached to ``cov`` here; session-less compiles never journal.
     """
     options = middle_memo_key(
         compiler.name, compiler.bug_seed, opt_level, tuple(flags)
     )
     result_key = (options, entry.source_hash)
+    journal = cov.journal = []
     with span(compiler.tracer, "session"):
         memo = session.result_for(result_key)
     if memo is not None:
@@ -579,10 +608,10 @@ def lower_and_optimize_session(
         )
     except _MiddleAbort:
         session.aborts += 1
-        # Same prefix property as the incremental middle end: everything
-        # applied so far (idempotent coverage inserts, unmerged features) is
-        # a subset of what the live run recomputes.  Stale replayed function
-        # objects in the half-built module are discarded with it.
+        # Abort is safe mid-run: everything applied so far (idempotent
+        # coverage inserts, unmerged features) is a subset of what the live
+        # run recomputes.  Stale replayed function objects in the half-built
+        # module are discarded with it.
         journal.clear()
         _run_session(
             compiler, session, entry, opt_level, flags, cov, features,

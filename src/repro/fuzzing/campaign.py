@@ -104,13 +104,12 @@ def make_fuzzer(
     rng: random.Random,
     quarantine_threshold: int | None = None,
     cache_maxsize: int | None = None,
-    incremental: bool = True,
     paranoid: bool = False,
-    session: bool = False,
-    fuse_passes: bool = False,
+    session: bool | None = None,
+    fuse_passes: bool | None = None,
     flat_ir: bool = False,
     flat_native: bool | None = None,
-    batch_compile: bool = False,
+    batch_compile: bool | None = None,
     scheduler: "MutatorScheduler | None" = None,
     mutator_stats: bool | None = None,
     telemetry: TelemetrySession | None = None,
@@ -120,10 +119,27 @@ def make_fuzzer(
     ``flat_native`` sets the compiler's middle end for every fuzzer kind,
     the generator baselines included: ``False`` selects the object-IR
     reference, ``True`` the buffer-native production path, and ``None``
-    keeps the compiler's own setting (buffer-native by default).
-    ``flat_ir`` is implied by the flat-native path; ``flat_ir=True`` on the
-    object-IR reference is a contradiction and raises ``ValueError``.
+    keeps the compiler's own setting (buffer-native by default).  The
+    μCFuzz variants are always warm: front-end cache, dirty-region front
+    end and, on the flat-native middle end, a private compile session.
+
+    ``session``, ``fuse_passes``, ``flat_ir`` and ``batch_compile`` name
+    parts of that one path and accept only ``True`` or their default;
+    ``False`` asks for a deleted configuration and raises ``ValueError``,
+    as does ``flat_ir=True`` or ``session=True`` on the object-IR
+    reference.
     """
+    # Benchmark-compatibility keywords: they go with the next benchmark change.
+    for knob, value in (
+        ("session", session),
+        ("fuse_passes", fuse_passes),
+        ("batch_compile", batch_compile),
+    ):
+        if value is False:
+            raise ValueError(
+                f"{knob}=False selects a deleted configuration: the warm "
+                "path always runs the compile session and batched steps"
+            )
     if flat_native is None:
         flat_native = compiler.flat_native
     if flat_ir and not flat_native:
@@ -131,34 +147,32 @@ def make_fuzzer(
             "flat_ir=True needs the flat-native middle end, "
             "but flat_native is False"
         )
+    if session and not flat_native:
+        raise ValueError(
+            "session=True needs the flat-native middle end; "
+            "flat_native=False is the object-IR reference"
+        )
     compiler.flat_native = flat_native
     quarantine = (
         MutatorQuarantine(quarantine_threshold)
         if quarantine_threshold is not None
         else None
     )
-    # ``session=True`` gives the μCFuzz variants a private per-cell
-    # CompileSession (cross-step middle-end memoization); the generator
-    # baselines ignore it, as they do the evolutionary scheduler.
-    session_arg = True if session else None
-    if name == "uCFuzz.s":
+    if name in ("uCFuzz.s", "uCFuzz.u"):
+        mutators = (
+            registry.supervised() if name == "uCFuzz.s"
+            else registry.unsupervised()
+        )
         fuzzer: Fuzzer = MuCFuzz(
-            compiler, rng, seeds, registry.supervised(), name=name,
+            compiler, rng, seeds, mutators, name=name,
             quarantine=quarantine, cache_maxsize=cache_maxsize,
-            incremental=incremental, paranoid=paranoid,
-            session=session_arg, fuse_passes=fuse_passes,
-            batch_compile=batch_compile,
-            scheduler=scheduler, mutator_stats=mutator_stats,
+            paranoid=paranoid, scheduler=scheduler,
+            mutator_stats=mutator_stats,
         )
-    elif name == "uCFuzz.u":
-        fuzzer = MuCFuzz(
-            compiler, rng, seeds, registry.unsupervised(), name=name,
-            quarantine=quarantine, cache_maxsize=cache_maxsize,
-            incremental=incremental, paranoid=paranoid,
-            session=session_arg, fuse_passes=fuse_passes,
-            batch_compile=batch_compile,
-            scheduler=scheduler, mutator_stats=mutator_stats,
-        )
+        if session:
+            # The benchmark harness reads the session's counters off the
+            # compiler it built for this fuzzer alone.
+            compiler.session = fuzzer.session
     elif name == "AFL++":
         fuzzer = AFLPlusPlus(compiler, rng, seeds)
     elif name == "GrayC":
@@ -266,20 +280,13 @@ class Campaign:
     quarantine_threshold: int | None = None
     #: Front-end cache capacity per cell (None = FrontendCache default).
     cache_maxsize: int | None = None
-    #: Incremental (dirty-region + function-granular) compilation per cell.
-    incremental: bool = True
-    #: Differentially check every incremental compile (slow; CI/tests only).
+    #: Differentially check every compile against the object-IR reference
+    #: (slow; CI/tests only).
     paranoid: bool = False
-    #: Cross-step middle-end memoization: one CompileSession per cell.
-    session: bool = False
-    #: Count the flat local round's fused walks (``fused_pass_runs``).
-    fuse_passes: bool = False
     #: Keep the whole middle end buffer-native — buffer-direct irgen, flat
-    #: passes, buffer-served journal replay.  The production default;
-    #: ``False`` runs every cell on the object-IR reference pipeline.
+    #: passes, session-served replay.  The production default; ``False``
+    #: runs every cell on the object-IR reference pipeline.
     flat_native: bool = True
-    #: Compile each μCFuzz step's attempt set as one session batch.
-    batch_compile: bool = False
     #: Evolutionary mutator scheduling: give each μCFuzz cell a
     #: fitness-proportional :class:`MutatorScheduler` seeded from the cell
     #: seed (scheduled cells stay serial == parallel == fabric identical).
@@ -318,12 +325,8 @@ class Campaign:
                 registry=registry,
                 quarantine_threshold=self.quarantine_threshold,
                 cache_maxsize=self.cache_maxsize,
-                incremental=self.incremental,
                 paranoid=self.paranoid,
-                session=self.session,
-                fuse_passes=self.fuse_passes,
                 flat_native=self.flat_native,
-                batch_compile=self.batch_compile,
                 schedule=self.schedule,
                 mutator_stats=self.mutator_stats,
                 telemetry_dir=self.telemetry_dir,

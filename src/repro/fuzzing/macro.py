@@ -44,7 +44,6 @@ class MacroFuzzer(CoverageGuidedFuzzer):
         cache: FrontendCache | None = None,
         use_cache: bool = True,
         cache_maxsize: int | None = None,
-        incremental: bool = True,
         paranoid: bool = False,
         quarantine: MutatorQuarantine | None = None,
     ) -> None:
@@ -64,7 +63,6 @@ class MacroFuzzer(CoverageGuidedFuzzer):
             )
         else:
             self.cache = None
-        self.incremental = incremental and self.cache is not None
         self.paranoid = paranoid
         self.quarantine = quarantine
 
@@ -83,7 +81,7 @@ class MacroFuzzer(CoverageGuidedFuzzer):
         events_before = (
             len(self.quarantine.events) if self.quarantine is not None else 0
         )
-        # Havoc chains mutations, so the incremental parent of the final
+        # Havoc chains mutations, so the dirty-region parent of the final
         # compile is the *last* intermediate text (already front-ended into
         # the cache by apply_mutator), not the pool parent.
         base_text: str | None = None
@@ -102,7 +100,7 @@ class MacroFuzzer(CoverageGuidedFuzzer):
         opt_level, flags = self.sample_options()
         edits_from = (
             (base_text, last_edits)
-            if self.incremental and base_text is not None
+            if self.cache is not None and base_text is not None
             else None
         )
         result = self.compiler.compile(

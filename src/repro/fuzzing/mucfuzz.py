@@ -7,8 +7,11 @@ mopt, no fork server, no pool culling — deliberately simple (§3.4).
 Performance: all mutation attempts of one iteration target the same parent
 program, so the front end (lex/parse/sema) of the parent is computed once
 and shared through a :class:`~repro.cast.cache.FrontendCache`; the same
-cache backs ``Compiler.compile``'s front-end stage for mutants and no-op
-recompiles.  Pass ``use_cache=False`` to measure the uncached baseline.
+cache backs ``Compiler.compile``'s dirty-region front end for mutants and
+no-op recompiles, and a :class:`~repro.compiler.session.CompileSession`
+replays the mutants' clean functions in the middle end.  A fuzzer is either
+warm (cache + session, the default) or cold (``use_cache=False``: neither);
+the two take identical steps.
 """
 
 from __future__ import annotations
@@ -45,33 +48,19 @@ class MuCFuzz(CoverageGuidedFuzzer):
         cache: FrontendCache | None = None,
         use_cache: bool = True,
         cache_maxsize: int | None = None,
-        incremental: bool = True,
         paranoid: bool = False,
         quarantine: MutatorQuarantine | None = None,
-        session: "CompileSession | bool | None" = None,
-        fuse_passes: bool = False,
+        session: CompileSession | None = None,
         flat_native: bool | None = None,
-        batch_compile: bool = False,
         scheduler: MutatorScheduler | None = None,
         mutator_stats: bool | None = None,
     ) -> None:
         super().__init__(compiler, rng, seeds)
         self.mutators = list(mutators)
         self.name = name
-        # Cross-step middle-end memoization: ``True`` builds a private
-        # per-fuzzer session (one per campaign cell), an explicit
-        # ``CompileSession`` shares one, ``False`` force-disables whatever
-        # the compiler was constructed with, and ``None`` leaves the
-        # compiler's own ``session`` attribute alone.
-        if session is None:
-            session = compiler.session
-        elif session is True:
-            session = CompileSession()
-        elif session is False:
-            session = None
-        # Like ``session``: ``None`` keeps the compiler's own middle end
-        # (buffer-native by default); ``False`` selects the object-IR
-        # reference, ``True`` the buffer-native production path.
+        # ``None`` keeps the compiler's own middle end (buffer-native by
+        # default); ``False`` selects the object-IR reference, ``True`` the
+        # buffer-native production path.
         if flat_native is None:
             flat_native = compiler.flat_native
         if session is not None and not flat_native:
@@ -79,14 +68,7 @@ class MuCFuzz(CoverageGuidedFuzzer):
                 "a CompileSession serves flat-native compiles only; "
                 "flat_native=False is the object-IR reference"
             )
-        compiler.session = session
         compiler.flat_native = flat_native
-        self.session = session
-        if fuse_passes:
-            compiler.fuse_passes = True
-        #: Compile each step's mutation attempts as one batch against the
-        #: session (parent materialized once); requires a session.
-        self.batch_compile = batch_compile and self.session is not None
         if cache is not None:
             self.cache = cache
         elif use_cache:
@@ -97,10 +79,20 @@ class MuCFuzz(CoverageGuidedFuzzer):
             )
         else:
             self.cache = None
-        #: Feed mutant edit scripts to the compiler for dirty-region
-        #: front-end reuse and function-granular middle-end replay.
-        self.incremental = incremental and self.cache is not None
-        #: Cross-check every cached/incremental compile against a full one.
+        if session is not None and self.cache is None:
+            raise ValueError(
+                "a CompileSession needs the front-end cache; "
+                "use_cache=False is the cold path"
+            )
+        #: The cross-step middle-end session every compile of this fuzzer
+        #: runs against: the one passed in, else a private one whenever the
+        #: fuzzer is warm (has a front-end cache) on the flat-native middle
+        #: end.  Passed per call, never installed on the shared compiler.
+        if session is None and self.cache is not None and flat_native:
+            session = CompileSession()
+        self.session = session
+        #: Cross-check every compile off the reference path against a cold
+        #: object-IR one.
         self.paranoid = paranoid
         #: Evolutionary outer loop: a seeded fitness-proportional bandit
         #: that reorders each step's mutator try-list from the per-mutator
@@ -138,19 +130,22 @@ class MuCFuzz(CoverageGuidedFuzzer):
     def stats_snapshot(self) -> dict:
         if self.session is not None:
             self.stats.update(self.session.stats())
-        self.stats["fused_pass_runs"] = self.compiler.fused_pass_runs
         snap = super().stats_snapshot()
         if self.cache is not None:
             snap.update(self.cache.stats())
-        snap["middle_incremental_hits"] = self.compiler.middle_incremental_hits
-        snap["middle_incremental_fallbacks"] = (
-            self.compiler.middle_incremental_fallbacks
-        )
         steps = snap.get("steps", 0)
         snap["attempts_per_step"] = snap["attempts"] / steps if steps else 0.0
         return snap
 
     def step(self) -> StepResult:
+        """One iteration, routed through :meth:`Compiler.compile_batch`.
+
+        The mutation attempts are generated lazily, so a mutator only
+        consumes fuzzer randomness when the batch actually reaches it; the
+        first kept or crashing mutant ends the batch.  With a session,
+        ``compile_batch`` materializes the parent's record once up front, so
+        every attempt's clean functions replay from the session.
+        """
         self.stats["steps"] += 1
         cache_before = (
             (self.cache.hits, self.cache.misses) if self.cache is not None else (0, 0)
@@ -172,84 +167,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
         self.rng.shuffle(order)
         if self.scheduler is not None:
             order = self.scheduler.order(order)
-        if self.batch_compile:
-            return self._step_batched(
-                parent, order, attempts_before, cache_before, events_before,
-                retired_before,
-            )
-        last: StepResult | None = None
-        for info in order[:MAX_TRIES_PER_ITERATION]:
-            if self.quarantine is not None and not self.quarantine.allows(
-                info.name
-            ):
-                self.stats["quarantine_skips"] += 1
-                continue
-            self.stats["attempts"] += 1
-            mutated = self._mutate(parent.text, info)
-            if mutated is None or mutated[0] == parent.text:
-                self.stats["unchanged"] += 1
-                self.record_mutator_yield(info.name)
-                continue
-            mutant, edits = mutated
-            result = self.compiler.compile(
-                mutant,
-                cache=self.cache,
-                edits_from=(parent.text, edits) if self.incremental else None,
-                paranoid=self.paranoid,
-            )
-            kept = self.keep_if_new_coverage(mutant, result, parent, info.name)
-            covered_before = len(self.coverage)
-            self.coverage.merge(result.coverage)
-            self.record_mutator_yield(
-                info.name,
-                changed=True,
-                compiled=result.ok,
-                crashed=result.crashed,
-                coverage_gain=len(self.coverage) - covered_before,
-            )
-            last = StepResult(mutant, result, kept=kept, mutator=info.name)
-            if kept or result.crashed:
-                return self._finish(
-                    last, attempts_before, cache_before, events_before,
-                    retired_before,
-                )
-        if last is not None:
-            return self._finish(
-                last, attempts_before, cache_before, events_before,
-                retired_before,
-            )
-        # Nothing mutated this round; recompile the parent (a no-op round).
-        result = self.compiler.compile(
-            parent.text, cache=self.cache, paranoid=self.paranoid
-        )
-        self.coverage.merge(result.coverage)
-        return self._finish(
-            StepResult(parent.text, result, kept=False, mutator=None),
-            attempts_before,
-            cache_before,
-            events_before,
-            retired_before,
-        )
-
-    def _step_batched(
-        self,
-        parent,
-        order: list[MutatorInfo],
-        attempts_before: int,
-        cache_before: tuple[int, int],
-        events_before: int,
-        retired_before: int = 0,
-    ) -> StepResult:
-        """One iteration routed through :meth:`Compiler.compile_batch`.
-
-        Behaviourally identical to the sequential loop in :meth:`step` —
-        same RNG draw order (the request generator is lazy, so a mutator
-        only consumes entropy when the batch actually reaches it), same
-        keep/merge bookkeeping, same early exit on a kept or crashing
-        mutant.  The only addition is that ``compile_batch`` materializes
-        the parent's session record once up front, so every attempt's
-        clean functions replay from the session.
-        """
         state: dict = {}
 
         def requests():
@@ -267,9 +184,7 @@ class MuCFuzz(CoverageGuidedFuzzer):
                     continue
                 mutant, edits = mutated
                 state["pending"] = (mutant, info)
-                yield mutant, (
-                    (parent.text, edits) if self.incremental else None
-                )
+                yield mutant, (parent.text, edits)
 
         def until(result) -> bool:
             mutant, info = state.pop("pending")
@@ -289,34 +204,19 @@ class MuCFuzz(CoverageGuidedFuzzer):
             return kept or result.crashed
 
         self.compiler.compile_batch(
-            requests(), cache=self.cache, paranoid=self.paranoid, until=until
+            requests(), cache=self.cache, paranoid=self.paranoid,
+            session=self.session, until=until,
         )
-        last = state.get("last")
-        if last is not None:
-            return self._finish(
-                last, attempts_before, cache_before, events_before,
-                retired_before,
+        step = state.get("last")
+        if step is None:
+            # Nothing mutated this round; recompile the parent (a no-op
+            # round).
+            result = self.compiler.compile(
+                parent.text, cache=self.cache, paranoid=self.paranoid,
+                session=self.session,
             )
-        result = self.compiler.compile(
-            parent.text, cache=self.cache, paranoid=self.paranoid
-        )
-        self.coverage.merge(result.coverage)
-        return self._finish(
-            StepResult(parent.text, result, kept=False, mutator=None),
-            attempts_before,
-            cache_before,
-            events_before,
-            retired_before,
-        )
-
-    def _finish(
-        self,
-        step: StepResult,
-        attempts_before: int,
-        cache_before: tuple[int, int],
-        events_before: int = 0,
-        retired_before: int = 0,
-    ) -> StepResult:
+            self.coverage.merge(result.coverage)
+            step = StepResult(parent.text, result, kept=False, mutator=None)
         step.stats = {"attempts": self.stats["attempts"] - attempts_before}
         if self.cache is not None:
             step.stats["cache_hits"] = self.cache.hits - cache_before[0]

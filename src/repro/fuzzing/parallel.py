@@ -102,21 +102,11 @@ class CellSpec:
     quarantine_threshold: int | None = None
     #: Front-end cache capacity for the cell's fuzzer (None = default).
     cache_maxsize: int | None = None
-    #: Feed mutant edit scripts to the compiler for incremental reuse.
-    incremental: bool = True
-    #: Cross-check every incremental compile against a full one (CI/tests).
+    #: Cross-check every compile against the object-IR reference (CI/tests).
     paranoid: bool = False
-    #: Give the cell's fuzzer a private CompileSession (cross-step
-    #: middle-end memoization).  Sessions are per-cell by construction —
-    #: a worker builds its own — so serial==parallel holds.
-    session: bool = False
-    #: Count the flat local round's fused walks (``fused_pass_runs``).
-    fuse_passes: bool = False
     #: Keep the whole middle end buffer-native; the default.  ``False`` runs
     #: the cell on the object-IR reference.
     flat_native: bool = True
-    #: Compile each μCFuzz step's attempt set as one session batch.
-    batch_compile: bool = False
     #: Evolutionary mutator scheduling: the worker builds a
     #: :class:`~repro.fuzzing.schedule.MutatorScheduler` seeded from
     #: ``cell_seed``, so every execution of the spec — serial, parallel,
@@ -156,12 +146,8 @@ def cell_key(spec: CellSpec) -> str:
         spec.sample_points,
         spec.quarantine_threshold,
         spec.cache_maxsize,
-        spec.incremental,
         spec.paranoid,
-        spec.session,
-        spec.fuse_passes,
         spec.flat_native,
-        spec.batch_compile,
         spec.schedule,
         spec.mutator_stats,
     )
@@ -253,12 +239,8 @@ def run_cell(spec: CellSpec) -> "CampaignResult":
         random.Random(spec.cell_seed),
         quarantine_threshold=spec.quarantine_threshold,
         cache_maxsize=spec.cache_maxsize,
-        incremental=spec.incremental,
         paranoid=spec.paranoid,
-        session=spec.session,
-        fuse_passes=spec.fuse_passes,
         flat_native=spec.flat_native,
-        batch_compile=spec.batch_compile,
         scheduler=scheduler,
         mutator_stats=spec.mutator_stats,
         telemetry=session,

@@ -238,8 +238,8 @@ class MutatorScheduler:
 # sched-smoke: the scheduled-vs-uniform ablation gate (tier-2 CI)
 
 #: Seed-state golden for the uniform arm of :func:`smoke_main` (uCFuzz.s,
-#: GCC sim, 40 generated seeds, RNG seed 2024, 150 steps): the scheduler
-#: PR must leave the uniform fuzzer's results untouched.
+#: GCC sim, 40 generated seeds, RNG seed 2024, 300 steps): scheduling must
+#: leave the uniform fuzzer's results untouched.
 _UNIFORM_GOLDEN = {"steps": 300, "seed": 2024, "coverage": 1322, "pool": 186}
 
 

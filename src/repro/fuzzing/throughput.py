@@ -2,18 +2,16 @@
 
 The perf contract of the compile pipeline is measured here: the same μCFuzz
 run (same compiler, seeds, RNG seed — hence an identical step sequence) is
-executed four ways in one process:
+executed three ways in one process:
 
 * ``reference`` — the object-IR reference (``flat_native=False``), no
   front-end cache;
 * ``cache_off`` — the flat-native middle end, cold: no front-end cache, no
   compile session;
-* ``session_off`` — flat-native with the front-end cache, the dirty-region
-  front end and the journal middle end (function-granular replay from the
-  parent's recorded run), no compile session;
-* ``production`` — flat-native with the cache and a persistent
+* ``production`` — the warm path: flat-native with the front-end cache, the
+  dirty-region front end and a persistent
   :class:`~repro.compiler.session.CompileSession` (cross-step middle-end
-  memoization) plus batched per-step compilation; the object IR is never
+  memoization) behind batched per-step compilation; the object IR is never
   constructed on the hot path, gated by zero ``compiler.bridge`` decodes.
 
 The steps/sec ratios, cache/session hit-rates, and per-stage timing
@@ -27,9 +25,8 @@ Entry points:
 * ``bench-smoke`` (``pyproject.toml`` script) / :func:`smoke_main` — a tiny
   step budget that asserts the caches are actually hitting (tier-2 CI);
 * ``paranoid-smoke`` / :func:`paranoid_main` — a paranoid-mode run where
-  every compile of the default (or, with ``--session``, the production)
-  path is differentially checked against a cold object-IR compile; any
-  divergence raises;
+  every compile of the warm path is differentially checked against a cold
+  object-IR compile; any divergence raises;
 * :func:`paranoid_cold_main` — the same differential over cold,
   session-less compiles of fresh Csmith-style programs (the generator
   baselines' path), under both personalities.
@@ -72,12 +69,8 @@ def _build_fuzzer(
     use_cache: bool,
     *,
     flat_native: bool,
-    incremental: bool = False,
     paranoid: bool = False,
     cache_maxsize: int | None = None,
-    session: bool = False,
-    fuse_passes: bool = False,
-    batch_compile: bool = False,
 ):
     # ``flat_native`` has no default: every arm names its middle end.
     import repro.mutators  # noqa: F401  (populate the registry)
@@ -99,12 +92,8 @@ def _build_fuzzer(
         name=fuzzer_name,
         use_cache=use_cache,
         cache_maxsize=cache_maxsize,
-        incremental=incremental,
         paranoid=paranoid,
-        session=True if session else None,
-        fuse_passes=fuse_passes,
         flat_native=flat_native,
-        batch_compile=batch_compile,
     )
 
 
@@ -144,14 +133,13 @@ def _time_run(fuzzer, steps: int) -> dict:
     }
 
 
-#: The throughput arms, slowest path first:
-#: (label, use_cache, flat_native, session).  Every cached arm also runs the
-#: dirty-region front end; the session arm adds batched compilation.
+#: The throughput arms, slowest path first: (label, use_cache, flat_native).
+#: The cached arm is the warm path: dirty-region front end, compile session
+#: and batched compilation.
 ARMS = (
-    ("reference", False, False, False),
-    ("cache_off", False, True, False),
-    ("session_off", True, True, False),
-    ("production", True, True, True),
+    ("reference", False, False),
+    ("cache_off", False, True),
+    ("production", True, True),
 )
 
 
@@ -161,24 +149,21 @@ def measure_throughput(
     n_seeds: int = DEFAULT_SEEDS,
     seed: int = 2024,
 ) -> dict:
-    """Run the four :data:`ARMS`.
+    """Run the three :data:`ARMS`.
 
     All runs use the same RNG seed; neither the front-end cache, the
-    journal or session middle end, nor the flat IR consumes fuzzer
-    randomness (the batched step path draws per attempt lazily, in the
-    sequential order), so they execute the identical step sequence and the
-    comparison is apples-to-apples (also sanity-checked via final coverage
-    and pool size, which must match exactly across all four arms).
+    session, nor the flat IR consumes fuzzer randomness (the batched step
+    draws per attempt lazily), so they execute the identical step sequence
+    and the comparison is apples-to-apples (also sanity-checked via final
+    coverage and pool size, which must match exactly across all arms).
     """
     from repro.fuzzing.seedgen import generate_seeds
 
     seeds = generate_seeds(n_seeds)
     report: dict = {"fuzzer": fuzzer_name, "seed": seed, "n_seeds": n_seeds}
-    for label, use_cache, flat_native, session in ARMS:
+    for label, use_cache, flat_native in ARMS:
         fuzzer = _build_fuzzer(
-            fuzzer_name, seeds, seed, use_cache, incremental=use_cache,
-            session=session, fuse_passes=session, flat_native=flat_native,
-            batch_compile=session,
+            fuzzer_name, seeds, seed, use_cache, flat_native=flat_native
         )
         report[label] = _time_run(fuzzer, steps)
         # Read off the compiler: bridge crossings stay out of the stats.
@@ -206,20 +191,14 @@ def measure_throughput(
             report[label]["steps_per_sec"], reference["steps_per_sec"]
         )
     report["speedup"] = report["speedup_production"]
-    report["speedup_production_vs_session_off"] = _ratio(
-        report["production"]["steps_per_sec"],
-        report["session_off"]["steps_per_sec"],
-    )
-    cached = report["session_off"]["stats"]
+    cached = report["production"]["stats"]
     report["cache_hit_rate"] = cached.get("cache_hit_rate", 0.0)
     report["incremental_hit_rate"] = _ratio(
         cached.get("cache_incremental_hits", 0),
         cached.get("cache_incremental_hits", 0)
         + cached.get("cache_incremental_fallbacks", 0),
     )
-    report["session_hit_rate"] = report["production"]["stats"].get(
-        "middle_session_hit_rate", 0.0
-    )
+    report["session_hit_rate"] = cached.get("middle_session_hit_rate", 0.0)
     report["stage_timings"] = report["production"]["profile"]["stage_timings"]
     return report
 
@@ -239,7 +218,6 @@ def run(steps: int, output: str | Path, fuzzer_name: str = "uCFuzz.s") -> dict:
     print(
         f"{report['fuzzer']}: {rates} steps/sec "
         f"(production speedup {report['speedup']}x over the reference, "
-        f"{report['speedup_production_vs_session_off']}x over session_off, "
         f"production decodes {report['production']['bridge']['decodes']}, "
         f"cache hit-rate {report['cache_hit_rate']:.2%}, "
         f"session hit-rate {report['session_hit_rate']:.2%}) -> {path}"
@@ -266,10 +244,9 @@ def smoke_main(argv: list[str] | None = None) -> int:
     report = run(args.steps, args.output)
     if report["cache_hit_rate"] <= 0:
         raise SystemExit("bench-smoke: cache hit-rate is 0 on the hot path")
-    cached_stats = report["session_off"]["stats"]
-    if cached_stats.get("cache_incremental_hits", 0) <= 0:
-        raise SystemExit("bench-smoke: incremental front end never hit")
     production_stats = report["production"]["stats"]
+    if production_stats.get("cache_incremental_hits", 0) <= 0:
+        raise SystemExit("bench-smoke: incremental front end never hit")
     if production_stats.get("middle_session_hits", 0) <= 0:
         raise SystemExit("bench-smoke: the compile session never hit")
     # The bridge-elimination contract: a production run never decodes a
@@ -300,59 +277,43 @@ def smoke_main(argv: list[str] | None = None) -> int:
 
 
 def paranoid_main(argv: list[str] | None = None) -> int:
-    """Differential smoke: every compile of the fast path is cross-checked.
+    """Differential smoke: every compile of the warm path is cross-checked.
 
-    Runs μCFuzz with ``paranoid=True`` on the default flat-native path —
-    front-end cache, dirty-region front end and journal middle end — or,
-    with ``--session``, on the production path (compile session + batched
-    compilation).  Each compile is recompiled cold on the object-IR
-    reference and compared field-for-field; any divergence raises
+    Runs μCFuzz with ``paranoid=True`` on the warm path — front-end cache,
+    dirty-region front end, compile session and batched compilation.  Each
+    compile is recompiled cold on the object-IR reference and compared
+    field-for-field; any divergence raises
     :class:`~repro.cast.incremental.IncrementalDivergence` and fails the
     run.  Gating is on zero divergences, not on throughput.
     """
     parser = argparse.ArgumentParser(description="paranoid-smoke")
     parser.add_argument("--steps", type=int, default=200)
     parser.add_argument("--seed", type=int, default=2024)
-    parser.add_argument(
-        "--session", action="store_true",
-        help="run with a CompileSession (cross-step middle-end memoization) "
-        "and batched compilation",
-    )
     args = parser.parse_args(argv)
     from repro.fuzzing.seedgen import generate_seeds
 
     seeds = generate_seeds(DEFAULT_SEEDS)
     fuzzer = _build_fuzzer(
-        "uCFuzz.s", seeds, args.seed, True, incremental=True, paranoid=True,
-        session=args.session, fuse_passes=args.session, flat_native=True,
-        batch_compile=args.session,
+        "uCFuzz.s", seeds, args.seed, True, paranoid=True, flat_native=True
     )
     for _ in range(args.steps):
         fuzzer.step()  # IncrementalDivergence propagates and fails the job
     stats = fuzzer.stats_snapshot()
     inc_hits = stats.get("cache_incremental_hits", 0)
-    middle_hits = stats.get("middle_incremental_hits", 0)
     session_hits = stats.get("middle_session_hits", 0)
-    mode = "flat-native+" + ("session" if args.session else "journal")
     print(
-        f"paranoid-smoke[{mode}]: {args.steps} steps, 0 divergences, "
+        f"paranoid-smoke: {args.steps} steps, 0 divergences, "
         f"{stats.get('cache_paranoid_checks', 0)} front-end checks, "
         f"{inc_hits} incremental front ends, "
-        f"{middle_hits} middle-end replays, "
         f"{session_hits} session replays"
     )
     if inc_hits <= 0:
         raise SystemExit(
             "paranoid-smoke: the incremental front end was never exercised"
         )
-    if args.session:
-        if session_hits <= 0:
-            raise SystemExit(
-                "paranoid-smoke: the compile session was never exercised"
-            )
-    elif middle_hits <= 0:
+    if session_hits <= 0:
         raise SystemExit(
-            "paranoid-smoke: the incremental middle end was never exercised"
+            "paranoid-smoke: the compile session was never exercised"
         )
     return 0
 

@@ -186,11 +186,12 @@ def render_triggers(
 
 
 #: Compile-pipeline counters surfaced in the text report (when present in
-#: the merged stats): the middle-end reuse machinery.
+#: the merged stats): the compile session's replays, lookup misses and
+#: reuse aborts.
 PIPELINE_COUNTERS = (
-    "middle_incremental_hits",
     "middle_session_hits",
-    "fused_pass_runs",
+    "middle_session_misses",
+    "middle_session_aborts",
 )
 #: Object<->buffer bridge crossings.  They live on ``Compiler.bridge``, not
 #: in result stats; each cell's telemetry stream carries them on its

@@ -4,10 +4,10 @@ Every compile runs the buffer-native middle end unless ``flat_native=False``
 asks for the object-IR reference — the plain cold pipeline — and the two
 agree field for field on fresh Csmith-style programs under both
 personalities, at every -O level and with every samplable flag: cold
-(the generator baselines' path), through the front-end cache and journal
-middle end (mutants replayed from their parent's run), and through a
-compile session.  The knob means the same thing at every layer that
-accepts it, and contradictory combinations are refused.
+(the generator baselines' path), through the front-end cache's dirty-region
+front end with the plain middle end, and through a compile session (mutants'
+clean functions replayed).  The knob means the same thing at every layer
+that accepts it, and contradictory combinations are refused.
 """
 
 import random
@@ -15,13 +15,18 @@ import random
 import pytest
 
 from repro.cast.cache import FrontendCache
-from repro.compiler.driver import CLANG_SIM, GCC_SIM, SAMPLABLE_FLAGS, Compiler
+from repro.compiler.driver import (
+    CLANG_SIM,
+    GCC_SIM,
+    SAMPLABLE_FLAGS,
+    Compiler,
+    assert_results_equal,
+)
 from repro.compiler.flatir import FlatFunction
-from repro.compiler.incremental import assert_results_equal
 from repro.compiler.ir import IRFunction
 from repro.compiler.session import CompileSession
 from repro.fuzzing.baselines.csmith import CSMITH_POLICY
-from repro.fuzzing.campaign import make_fuzzer
+from repro.fuzzing.campaign import make_fuzzer, run_campaign
 from repro.fuzzing.mucfuzz import MuCFuzz
 from repro.fuzzing.parallel import CellSpec, cell_key, run_cell
 from repro.fuzzing.progen import ProgramGenerator
@@ -62,13 +67,13 @@ def test_cold_default_matches_object_reference(programs, personality, opt_level)
 
 
 @pytest.mark.parametrize("opt_level", [0, 2, 3])
-@pytest.mark.parametrize("path", ["journal", "session"])
+@pytest.mark.parametrize("path", ["cache", "session"])
 @pytest.mark.parametrize("personality", sorted(PERSONALITIES))
 def test_warm_default_matches_object_reference(
     programs, registry, personality, path, opt_level
 ):
-    # Each parent is compiled first, so its mutants replay their clean
-    # functions from the parent's journal, or from the session.
+    # Each parent is compiled first, so its mutants re-front-end only their
+    # dirty region and, with a session, replay their clean functions.
     cache = FrontendCache()
     session = CompileSession() if path == "session" else None
     warm = Compiler(*PERSONALITIES[personality], cache=cache, session=session)
@@ -93,10 +98,9 @@ def test_warm_default_matches_object_reference(
             assert a.stages == b.stages
             compared += 1
     assert compared >= 12
+    assert cache.incremental_hits > 0
     if path == "session":
         assert session.hits > 0
-    else:
-        assert warm.middle_incremental_hits > 0
     assert warm.bridge.encodes == 0
     assert warm.bridge.decodes == 0
 
@@ -131,10 +135,8 @@ def test_object_reference_ignores_cache_and_session(programs):
     assert result.ok
     entry = cache.peek(programs[0])
     assert entry is not None  # the front end still went through the cache
-    assert not [key for key in entry.memo if key.startswith("middle:")]
     assert result.coverage.journal is None
     assert session.hits == session.misses == len(session) == 0
-    assert compiler.middle_incremental_hits == 0
 
 
 def test_paranoid_checks_cold_compiles(programs, monkeypatch):
@@ -225,24 +227,54 @@ def test_make_fuzzer_rejects_flat_ir_on_the_object_reference(
 def test_session_on_the_object_reference_is_refused(
     registry, small_seeds, session
 ):
-    if session == "instance":
-        session = CompileSession()
     with pytest.raises(ValueError, match="flat-native"):
-        MuCFuzz(
-            Compiler(*GCC_SIM), random.Random(3), small_seeds[:4],
-            registry.supervised(), session=session, flat_native=False,
+        if session is True:
+            make_fuzzer(
+                "uCFuzz.s", Compiler(*GCC_SIM), small_seeds[:4], registry,
+                random.Random(3), session=True, flat_native=False,
+            )
+        else:
+            MuCFuzz(
+                Compiler(*GCC_SIM), random.Random(3), small_seeds[:4],
+                registry.supervised(), session=CompileSession(),
+                flat_native=False,
+            )
+
+
+def _production_path() -> dict:
+    """``perfbench/workloads.production_path()``, loaded from its file."""
+    import importlib.util
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.production_path()
+
+
+def test_compatibility_keywords_build_the_one_warm_fuzzer(
+    registry, small_seeds
+):
+    def run(**kwargs):
+        fuzzer = make_fuzzer(
+            "uCFuzz.s", Compiler(*GCC_SIM), small_seeds[:8], registry,
+            random.Random(3), **kwargs,
         )
-    # The same refusal reaches make_fuzzer, Campaign and run_cell cells.
-    with pytest.raises(ValueError, match="flat-native"):
+        return run_campaign(fuzzer, steps=30).to_json()
+
+    assert run(**_production_path()) == run()
+
+
+@pytest.mark.parametrize("knob", ["session", "fuse_passes", "batch_compile"])
+def test_compatibility_keywords_refuse_false(registry, small_seeds, knob):
+    with pytest.raises(ValueError, match=knob):
         make_fuzzer(
             "uCFuzz.s", Compiler(*GCC_SIM), small_seeds[:4], registry,
-            random.Random(3), session=True, flat_native=False,
+            random.Random(3), **{knob: False},
         )
-    with pytest.raises(ValueError, match="flat-native"):
-        run_cell(
-            CellSpec(
-                fuzzer_name="uCFuzz.s", personality="gcc-sim", version="14",
-                bug_seed=20240427, seeds=tuple(small_seeds[:4]), steps=1,
-                cell_seed=5, session=True, flat_native=False,
-            )
-        )
+    # flat_ir=False stays the legal default.
+    make_fuzzer(
+        "uCFuzz.s", Compiler(*GCC_SIM), small_seeds[:4], registry,
+        random.Random(3), flat_ir=False,
+    )

@@ -343,7 +343,7 @@ class TestFlatNativeCompile:
         if arm == "session":
             kwargs["session"] = CompileSession()
         compiler = Compiler(*GCC_SIM, flat_native=True, **kwargs)
-        for _ in range(2):  # second compile exercises journal replay
+        for _ in range(2):  # second compile exercises the cache/session memo
             result = compiler.compile(_PROGRAM, 2, ())
             assert result.ok and result.asm == ref.asm
             assert result.features == ref.features
@@ -387,8 +387,6 @@ class TestFlatNativeCampaign:
             random.Random(11),
             ["int main(void) { return 0; }"],
             global_registry.supervised(),
-            session=flat_native,
-            incremental=True,
             flat_native=flat_native,
         )
         for _ in range(steps):

@@ -19,7 +19,7 @@ from repro.cast.sema import Sema
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.driver import Compiler, GCC_SIM
 from repro.compiler.flatir import FunctionSnapshot, IRBuffer, from_nodes, to_nodes
-from repro.compiler.incremental import assert_results_equal
+from repro.compiler.driver import assert_results_equal
 from repro.compiler.interp import execute
 from repro.compiler.irgen import IRGen
 from repro.compiler.passes import OptContext, local_opt, cleanup_opt
@@ -167,26 +167,12 @@ class TestFlatOptEquivalence:
                 assert frozenset(flat_ctx.cov.edges) == frozenset(obj_ctx.cov.edges)
                 assert dict(flat_ctx.stats.counters) == dict(obj_ctx.stats.counters)
 
-    def test_fused_runs_counted_only_with_fuse(self):
-        module = _lower("int main(void) { return 2 + 3; }")
-        flat_only = OptContext(cov=CoverageMap(), opt_level=2, flat_native=True)
-        local_opt(copy.deepcopy(module.functions["main"]), flat_only)
-        assert flat_only.fused_runs == 0
-        flat_fused = OptContext(
-            cov=CoverageMap(), opt_level=2, flat_native=True, fuse=True
-        )
-        local_opt(copy.deepcopy(module.functions["main"]), flat_fused)
-        assert flat_fused.fused_runs == 1
-
 
 class TestFlatCompileEquivalence:
     """Session-served flat-native compiles == the object-IR reference."""
 
     def _compilers(self):
-        flat = Compiler(
-            *GCC_SIM, cache=FrontendCache(), session=CompileSession(),
-            fuse_passes=True,
-        )
+        flat = Compiler(*GCC_SIM, cache=FrontendCache(), session=CompileSession())
         return flat, Compiler(*GCC_SIM, flat_native=False)
 
     def test_seed_corpus(self, small_seeds):
@@ -339,8 +325,7 @@ class TestFlatKnobPlumbing:
             if flat:
                 fuzzer = MuCFuzz(
                     comp, random.Random(5), list(small_seeds[:6]),
-                    registry.supervised(), session=True, fuse_passes=True,
-                    batch_compile=True,
+                    registry.supervised(),
                 )
             else:
                 fuzzer = MuCFuzz(

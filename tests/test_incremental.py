@@ -1,7 +1,7 @@
 """Incremental pipeline correctness: grafted front ends and replayed IR.
 
 The incremental machinery (dirty-region re-front-ending, per-decl summary
-grafting, function-granular middle-end replay) is pure performance — every
+grafting, session replay of clean functions) is pure performance — every
 test here pins down the invariant it rests on: an incremental compile is
 observably identical to a from-scratch one.
 """
@@ -147,14 +147,15 @@ class TestIncrementalCompileParity:
     compile, and paranoid mode enforces that on every step."""
 
     def test_middle_end_replay_matches_full(self, registry, small_seeds):
-        from repro.compiler import GCC_SIM, Compiler
+        from repro.compiler import GCC_SIM, CompileSession, Compiler
 
         gcc = Compiler(*GCC_SIM)
         cache = FrontendCache()
+        session = CompileSession()
         rng = random.Random(31)
         replayed = 0
         for seed in small_seeds[:10]:
-            base = gcc.compile(seed, cache=cache)
+            base = gcc.compile(seed, cache=cache, session=session)
             if not base.ok:
                 continue
             for _ in range(4):
@@ -167,7 +168,7 @@ class TestIncrementalCompileParity:
                     continue
                 inc = gcc.compile(
                     outcome.mutant_text, cache=cache,
-                    edits_from=(seed, outcome.edits),
+                    edits_from=(seed, outcome.edits), session=session,
                 )
                 full = gcc.compile(outcome.mutant_text)
                 assert inc.ok == full.ok
@@ -178,7 +179,7 @@ class TestIncrementalCompileParity:
                 assert (inc.crash is None) == (full.crash is None)
                 replayed += 1
         assert replayed >= 8
-        assert gcc.middle_incremental_hits > 0
+        assert session.hits > 0
 
     def test_paranoid_fuzzing_steps(self, gcc, registry, small_seeds):
         fuzzer = MuCFuzz(
@@ -190,38 +191,37 @@ class TestIncrementalCompileParity:
         stats = fuzzer.stats_snapshot()
         assert stats["cache_paranoid_checks"] > 0
 
-    def test_incremental_equals_plain_cached_run(self, gcc, registry, small_seeds):
-        """Step-for-step identity: the speedup changes no observable result."""
-        inc = MuCFuzz(
-            gcc, random.Random(7), small_seeds[:8], registry.supervised(),
-            incremental=True,
+    def test_warm_equals_cold_step_for_step(self, gcc, registry, small_seeds):
+        """The warm path (cache + session) changes no observable result."""
+        warm = MuCFuzz(
+            gcc, random.Random(7), small_seeds[:8], registry.supervised()
         )
-        plain = MuCFuzz(
+        cold = MuCFuzz(
             gcc, random.Random(7), small_seeds[:8], registry.supervised(),
-            incremental=False,
+            use_cache=False,
         )
+        assert warm.cache is not None and warm.session is not None
+        assert cold.cache is None and cold.session is None
         for _ in range(40):
-            a, b = inc.step(), plain.step()
+            a, b = warm.step(), cold.step()
             assert a.program == b.program
             assert a.mutator == b.mutator
             assert a.kept == b.kept
             assert a.result.coverage.edges == b.result.coverage.edges
             assert a.result.diagnostics == b.result.diagnostics
             assert a.result.asm == b.result.asm
-        assert inc.coverage.edges == plain.coverage.edges
-        assert inc.stats_snapshot()["cache_incremental_hits"] > 0
+        assert warm.coverage.edges == cold.coverage.edges
+        stats = warm.stats_snapshot()
+        assert stats["cache_incremental_hits"] > 0
+        assert stats["middle_session_hits"] > 0
 
-    def test_campaign_invariant_under_incremental(self, gcc, registry, small_seeds):
-        def result_of(incremental):
+    def test_campaign_invariant_under_warm_path(self, gcc, registry, small_seeds):
+        def result_of(use_cache):
             fuzzer = MuCFuzz(
                 gcc, random.Random(11), small_seeds[:8],
-                registry.supervised(), incremental=incremental,
+                registry.supervised(), use_cache=use_cache,
             )
             r = run_campaign(fuzzer, steps=30)
-            return (
-                r.coverage_trend, r.compiled, r.total,
-                [c.signature for c in r.crashes.entries]
-                if hasattr(r.crashes, "entries") else r.crashes.timeline(),
-            )
+            return r.coverage_trend, r.compiled, r.total, r.crashes.to_json()
 
         assert result_of(True) == result_of(False)

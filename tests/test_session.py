@@ -23,7 +23,7 @@ from repro.cast.parser import parse
 from repro.cast.sema import Sema
 from repro.compiler import GCC_SIM, Compiler
 from repro.compiler.coverage import CoverageMap
-from repro.compiler.incremental import assert_results_equal
+from repro.compiler.driver import assert_results_equal
 from repro.compiler.irgen import FlatIRGen, IRGen, LoweringError
 from repro.compiler.passes import OptContext, local_opt
 from repro.compiler.session import CompileSession
@@ -32,6 +32,7 @@ from repro.fuzzing.mucfuzz import MuCFuzz
 from repro.fuzzing.progen import GenPolicy, ProgramGenerator
 from repro.muast.mutator import apply_mutator
 from repro.muast.registry import global_registry
+from tests.helpers import fuzzing_observable
 
 
 def _lower(text, irgen=IRGen):
@@ -77,16 +78,12 @@ class TestFusedEquivalence:
         flat_module = _lower(text, FlatIRGen)
         checked = 0
         for name, fn in module.functions.items():
-            seq_ctx = OptContext(cov=CoverageMap(), opt_level=2, fuse=True)
-            fus_ctx = OptContext(
-                cov=CoverageMap(), opt_level=2, flat_native=True, fuse=True
-            )
+            seq_ctx = OptContext(cov=CoverageMap(), opt_level=2)
+            fus_ctx = OptContext(cov=CoverageMap(), opt_level=2, flat_native=True)
             seq = _opt_observables(fn, seq_ctx)
             fused = _opt_observables(flat_module.functions[name], fus_ctx)
             assert fused[0] == seq[0], f"IR diverged for {name} in:\n{text}"
             assert fused[1:] == seq[1:]
-            # Only the flat round fuses; the object reference never does.
-            assert fus_ctx.fused_runs == 1 and seq_ctx.fused_runs == 0
             checked += 1
         return checked
 
@@ -105,17 +102,6 @@ class TestFusedEquivalence:
         ).generate()
         self._check_program(text)
 
-    def test_fused_runs_outside_compared_stats(self):
-        # fused_runs lives on the context, never in the stats counters the
-        # paranoid feature comparison sees.
-        module = _lower("int main(void) { return 2 + 3; }", FlatIRGen)
-        ctx = OptContext(
-            cov=CoverageMap(), opt_level=2, flat_native=True, fuse=True
-        )
-        local_opt(module.functions["main"], ctx)
-        assert ctx.fused_runs == 1
-        assert "fused_runs" not in ctx.stats.counters
-
 
 def _mutate_body(text):
     """A textual single-function mutation (dirty fn, clean siblings)."""
@@ -125,7 +111,7 @@ def _mutate_body(text):
 class TestCompileSession:
     def test_session_compile_matches_cold(self, small_seeds):
         session = CompileSession()
-        warm = Compiler(*GCC_SIM, session=session, fuse_passes=True)
+        warm = Compiler(*GCC_SIM, session=session)
         cold = Compiler(*GCC_SIM, flat_native=False)
         for text in small_seeds[:10]:
             assert_results_equal(warm.compile(text), cold.compile(text))
@@ -145,7 +131,7 @@ class TestCompileSession:
 
     def test_session_hits_on_shared_clean_functions(self, small_seeds):
         session = CompileSession()
-        warm = Compiler(*GCC_SIM, session=session, fuse_passes=True)
+        warm = Compiler(*GCC_SIM, session=session)
         cold = Compiler(*GCC_SIM, flat_native=False)
         text = small_seeds[1]
         warm.compile(text)
@@ -158,7 +144,7 @@ class TestCompileSession:
 
     def test_paranoid_session_compile(self, small_seeds):
         session = CompileSession()
-        warm = Compiler(*GCC_SIM, session=session, fuse_passes=True)
+        warm = Compiler(*GCC_SIM, session=session)
         text = small_seeds[2]
         warm.compile(text)
         before = session.paranoid_checks
@@ -239,28 +225,7 @@ class TestSessionFuzzing:
             seeds,
             registry.supervised(),
             session=session,
-            fuse_passes=True,
-            batch_compile=True,
         )
-
-    @staticmethod
-    def _comparable(result):
-        payload = result.to_json()
-        # Pipeline-plumbing counters legitimately differ between arms and
-        # between warm/cold session runs (batching materializes parents →
-        # different cache-hit counts; the session supersedes the journal
-        # middle end → zero middle_incremental hits; session/fused counters
-        # accumulate across runs sharing one session; only flat-native runs
-        # count fused rounds).  Everything
-        # *behavioral* — coverage trend, crashes, pool, attempts, RNG-driven
-        # counters — must be bit-identical.
-        payload["stats"] = {
-            k: v
-            for k, v in payload["stats"].items()
-            if not k.startswith(("middle_session_", "middle_incremental_", "cache_"))
-            and k not in ("fused_pass_runs", "decl_digest_memo_hits")
-        }
-        return payload
 
     def test_session_campaign_matches_sessionless(self, registry, small_seeds):
         seeds = small_seeds[:8]
@@ -274,7 +239,7 @@ class TestSessionFuzzing:
             ),
             steps=25,
         )
-        assert self._comparable(with_session) == self._comparable(reference)
+        assert fuzzing_observable(with_session) == fuzzing_observable(reference)
         assert with_session.stats["middle_session_hits"] > 0
 
     def test_same_campaign_twice_through_one_session(self, registry, small_seeds):
@@ -282,9 +247,30 @@ class TestSessionFuzzing:
         session = CompileSession()
         first = run_campaign(self._fuzzer(session, seeds, registry), steps=25)
         second = run_campaign(self._fuzzer(session, seeds, registry), steps=25)
-        assert self._comparable(first) == self._comparable(second)
+        assert fuzzing_observable(first) == fuzzing_observable(second)
         # The warm rerun replayed entire results from the session memo.
         assert second.stats["middle_session_result_hits"] > 0
+
+    def test_fuzzers_keep_their_sessions_off_the_compiler(
+        self, registry, small_seeds
+    ):
+        own = CompileSession()
+        compiler = Compiler(*GCC_SIM, session=own)
+        a, b = (
+            MuCFuzz(
+                compiler, random.Random(seed), small_seeds[:6],
+                registry.supervised(),
+            )
+            for seed in (1, 2)
+        )
+        assert a.session is not None and b.session is not None
+        assert a.session is not b.session and own not in (a.session, b.session)
+        for _ in range(5):
+            a.step()
+            b.step()
+        assert compiler.session is own
+        assert own.hits == own.misses == len(own) == 0
+        assert a.session.misses > 0 and b.session.misses > 0
 
     def test_paranoid_session_fuzzing(self, registry, small_seeds):
         fuzzer = MuCFuzz(
@@ -292,9 +278,6 @@ class TestSessionFuzzing:
             random.Random(11),
             small_seeds[:8],
             registry.supervised(),
-            session=True,
-            fuse_passes=True,
-            batch_compile=True,
             paranoid=True,
         )
         for _ in range(15):
@@ -302,10 +285,9 @@ class TestSessionFuzzing:
         assert fuzzer.session.paranoid_checks > 0
 
     def test_paranoid_fuzzing_under_eviction(self, registry, small_seeds):
-        # Stores far smaller than the working set: front-end entries (and
-        # the journal memos riding on them) and session records are evicted
-        # and re-derived all the time, and every compile must still match
-        # the cold object-IR reference.
+        # Stores far smaller than the working set: front-end entries and
+        # session records are evicted and re-derived all the time, and every
+        # compile must still match the cold object-IR reference.
         session = CompileSession(maxsize=8)
         fuzzer = MuCFuzz(
             Compiler(*GCC_SIM),
@@ -314,8 +296,6 @@ class TestSessionFuzzing:
             registry.supervised(),
             cache_maxsize=4,
             session=session,
-            fuse_passes=True,
-            batch_compile=True,
             paranoid=True,
         )
         for _ in range(60):
@@ -325,33 +305,16 @@ class TestSessionFuzzing:
         assert stats["middle_session_evictions"] > 0
         assert stats["middle_session_paranoid_checks"] > 0
 
-    def test_campaign_cell_specs_carry_session_knobs(self, registry, small_seeds):
-        from repro.fuzzing.campaign import Campaign
-
-        campaign = Campaign(
-            compilers=[Compiler(*GCC_SIM)],
-            seeds=small_seeds[:6],
-            registry=registry,
-            steps=10,
-            session=True,
-            fuse_passes=True,
-            batch_compile=True,
-        )
-        spec = campaign.cell_specs(("uCFuzz.s",))[0]
-        assert spec.session and spec.fuse_passes and spec.batch_compile
-
     def test_session_serial_equals_parallel(self, registry, small_seeds):
         from repro.fuzzing.campaign import Campaign
 
         campaign = Campaign(
             compilers=[Compiler(*GCC_SIM)],
             seeds=small_seeds[:6],
-            registry=None or global_registry,
+            registry=global_registry,
             steps=12,
-            session=True,
-            fuse_passes=True,
-            batch_compile=True,
         )
         serial = campaign.run(("uCFuzz.s", "uCFuzz.u"), parallelism=1)
         parallel = campaign.run(("uCFuzz.s", "uCFuzz.u"), parallelism=2)
         assert [r.to_json() for r in serial] == [r.to_json() for r in parallel]
+        assert serial[0].stats["middle_session_hits"] > 0

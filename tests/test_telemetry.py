@@ -409,6 +409,9 @@ class TestTriageReport:
         assert "unique crashes by module" in text
         for module in CANONICAL_MODULES:
             assert module in text
+        # Warm μCFuzz cells replay through their compile sessions.
+        for counter in ("middle_session_hits", "middle_session_misses"):
+            assert counter in text
 
     def test_cli_text_and_json(self, checkpoint_dir, tmp_path, capsys):
         assert report_main(["--checkpoint-dir", str(checkpoint_dir)]) == 0
