@@ -246,7 +246,7 @@ def _flat_live_intervals(buf) -> dict[int, tuple[int, int]]:
     return intervals
 
 
-def _lower_function_flat(fn: IRFunction, ctx: OptContext) -> BackendResult:
+def _lower_function_flat(fn, ctx: OptContext) -> BackendResult:
     """The buffer-walk twin of :func:`_lower_function`.
 
     Emits byte-identical assembly and fires the same coverage hits with the
@@ -256,11 +256,7 @@ def _lower_function_flat(fn: IRFunction, ctx: OptContext) -> BackendResult:
     from repro.compiler import flatir as F
 
     cov = ctx.cov
-    buffer = getattr(fn, "buffer", None)
-    if buffer is not None:  # FlatFunction: walk its live buffer directly
-        buf = buffer()
-    else:
-        buf = F.from_nodes(fn, ctx.bridge)
+    buf = fn.buffer()  # a FlatFunction: walk its live buffer directly
     names = buf.names
     imms = buf.imms
     opcl, dstl, al, bl, tyl, auxl = buf.opc, buf.dst, buf.a, buf.b, buf.ty, buf.aux

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from repro.cast import ast_nodes as ast
 from repro.cast.cache import (
@@ -32,9 +33,6 @@ from repro.compiler.session import (
     middle_memo_key,
 )
 from repro.telemetry.spans import Tracer
-
-#: Sentinel for "use the compiler's own session" on per-call overrides.
-_SESSION_DEFAULT = object()
 
 
 @dataclass
@@ -79,8 +77,6 @@ class Compiler:
         personality: str,
         version: str,
         bug_seed: int = 20240427,
-        cache: FrontendCache | None = None,
-        session: CompileSession | None = None,
         flat_native: bool = True,
     ) -> None:
         assert personality in ("gcc-sim", "clang-sim")
@@ -89,11 +85,6 @@ class Compiler:
         self.name = f"{personality}-{version}"
         self.bug_seed = bug_seed
         self.bugs = BugRegistry.for_compiler(personality, seed=bug_seed)
-        #: Optional shared front-end cache; ``compile(cache=...)`` overrides.
-        self.cache = cache
-        #: Optional cross-step middle-end session; ``compile(session=...)``
-        #: overrides (``session=None`` there forces a session-less compile).
-        self.session = session
         #: Keep the whole middle end buffer-native: irgen emits
         #: :class:`~repro.compiler.flatir.IRBuffer` rows directly, the
         #: passes run their flat ports, the backend walks the live buffer,
@@ -101,8 +92,13 @@ class Compiler:
         #: production path.  ``flat_native=False`` is the object-IR
         #: reference: the plain cold pipeline of
         #: :mod:`repro.compiler.middle`, whatever cache or session the
-        #: compile is handed.  Bit-identical observable behaviour.
+        #: compile is handed.  Bit-identical observable behaviour.  Chosen
+        #: here once; nothing reassigns it for the compiler's lifetime.
         self.flat_native = flat_native
+        #: Never read by :meth:`compile`: ``make_fuzzer(session=True)``
+        #: publishes its fuzzer's session here for the benchmark harness's
+        #: counters.  A compile's session is always passed per call.
+        self.session: CompileSession | None = None
         #: Object<->buffer bridge crossings charged to this compiler.  Read
         #: from here (bench gates, the campaign-end telemetry event), never
         #: copied into fuzzer stats: they stay outside the compared
@@ -128,23 +124,23 @@ class Compiler:
         cache: FrontendCache | None = None,
         edits_from: tuple[str, tuple] | None = None,
         paranoid: bool = False,
-        session: "CompileSession | None" = _SESSION_DEFAULT,
+        session: CompileSession | None = None,
     ) -> CompileResult:
         """Compile ``source_text``; never raises for input-driven outcomes.
 
+        ``cache`` shares front ends across compiles, and
         ``edits_from=(parent_text, edit_script)`` names the already-compiled
         program this text was mutated from, enabling dirty-region front-end
-        reuse.  ``session`` (default: the compiler's own) interns
-        per-function middle-end artifacts across compiles and replays them;
-        pass ``session=None`` explicitly to force a session-less run, which
-        takes the plain middle end.  A ``flat_native=False`` compile runs
-        the plain object-IR middle end and never consults a session.
-        ``paranoid=True`` cross-checks every compile off the reference path
-        (flat-native or front-end cached) against a cold
-        ``flat_native=False`` one and raises ``IncrementalDivergence`` on
-        any observable mismatch.
+        reuse.  ``session`` interns per-function middle-end artifacts
+        across compiles and replays them; without one the plain middle end
+        runs.  A ``flat_native=False`` compile runs the plain object-IR
+        middle end and drops any session it is handed.  ``paranoid=True``
+        cross-checks every compile off the reference path (flat-native or
+        front-end cached) against a cold ``flat_native=False`` one and
+        raises ``IncrementalDivergence`` on any observable mismatch.
         """
-        session = self._session_for(session)
+        if not self.flat_native:
+            session = None
         cov = CoverageMap()
         result = CompileResult(False, self.name, coverage=cov)
         features: dict = {
@@ -153,7 +149,6 @@ class Compiler:
             "personality": self.personality,
         }
         result.features = features
-        cache = cache if cache is not None else self.cache
         stages = ["frontend"]
         try:
             self._run_pipeline(
@@ -184,14 +179,7 @@ class Compiler:
             # included) or front-end cached — is checked against a cold
             # object-IR compile, so every paranoid check doubles as a
             # flat-vs-object differential on top of the cached-vs-fresh one.
-            flat_native = self.flat_native
-            self.flat_native = False
-            try:
-                reference = self.compile(
-                    source_text, opt_level, flags, cache=None, session=None
-                )
-            finally:
-                self.flat_native = flat_native
+            reference = self._reference.compile(source_text, opt_level, flags)
             if session is not None:
                 session.paranoid_checks += 1
             assert_results_equal(result, reference)
@@ -204,7 +192,7 @@ class Compiler:
         flags: tuple[str, ...] = (),
         cache: FrontendCache | None = None,
         paranoid: bool = False,
-        session: "CompileSession | None" = _SESSION_DEFAULT,
+        session: CompileSession | None = None,
         until=None,
     ) -> list[CompileResult]:
         """Compile one mutation attempt set against one session.
@@ -217,8 +205,8 @@ class Compiler:
         when given, is invoked with each result and truthy return stops the
         batch early (μCFuzz's keep/crash early exit).
         """
-        session = self._session_for(session)
-        cache = cache if cache is not None else self.cache
+        if not self.flat_native:
+            session = None
         results: list[CompileResult] = []
         materialized = False
         for text, edits_from in requests:
@@ -251,11 +239,18 @@ class Compiler:
                 break
         return results
 
-    def _session_for(self, session) -> "CompileSession | None":
-        """The session a compile uses: none at all on the object reference."""
-        if not self.flat_native:
-            return None
-        return self.session if session is _SESSION_DEFAULT else session
+    @cached_property
+    def _reference(self) -> "Compiler":
+        """The cold object-IR compiler paranoid checks compile against.
+
+        Built once, on first use.  It shares this compiler's seeded bugs
+        (``BugRegistry.check`` is stateless), so both fire identically.
+        """
+        reference = Compiler(
+            self.personality, self.version, self.bug_seed, flat_native=False
+        )
+        reference.bugs = self.bugs
+        return reference
 
     # ------------------------------------------------------------------
 

@@ -507,12 +507,11 @@ class FlatFunction:
 class FunctionSnapshot:
     """A cheap point-in-time copy of a function, captured as a buffer.
 
-    The journal and session middle ends snapshot each inline candidate's
-    post-local-opt body, because later phases mutate the live carrier.
-    :meth:`of` clones a buffer-backed :class:`FlatFunction`'s arrays with no
-    bridge crossing at all, or walks an object ``IRFunction`` once into flat
-    arrays.  Sharing :attr:`buf` with the flat inliner is safe because
-    buffer splicing only reads the callee arrays.
+    The compile session snapshots each inline candidate's post-local-opt
+    body, because later phases mutate the live carrier.
+    :meth:`of` clones a :class:`FlatFunction`'s arrays with no bridge
+    crossing at all.  Sharing :attr:`buf` with the flat inliner is safe
+    because buffer splicing only reads the callee arrays.
     """
 
     __slots__ = ("_buf",)
@@ -521,10 +520,8 @@ class FunctionSnapshot:
         self._buf = buf
 
     @classmethod
-    def of(cls, fn, counters: BridgeCounters | None = None) -> "FunctionSnapshot":
-        if type(fn) is FlatFunction:
-            return cls(fn.buffer().clone())
-        return cls(from_nodes(fn, counters))
+    def of(cls, fn: FlatFunction) -> "FunctionSnapshot":
+        return cls(fn.buffer().clone())
 
     @property
     def buf(self) -> IRBuffer:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import struct as _struct
 from dataclasses import dataclass, field
 
-from repro.compiler.flatir import TYPES as _FLAT_TYPES
 from repro.compiler.ir import (
     BinOp, Br, Call, Cast, Gep, GlobalAddr, ImmFloat, ImmInt, IRFunction,
     IRModule, IRType, Jmp, Load, LocalAddr, Memcpy, Operand, Ret, Store,
@@ -63,19 +62,13 @@ class ExecResult:
 class Interpreter:
     """Executes an IR module starting from a chosen function.
 
-    With ``flat=True``, function bodies are encoded once into
-    :class:`~repro.compiler.flatir.IRBuffer` form (cached per function) and
-    the execution loop dispatches over opcode ints via a table instead of an
-    isinstance chain; observable behaviour is identical.
+    A flat-native module runs too: its buffer-backed functions decay to
+    object IR (a counted bridge crossing) the first time they are entered.
     """
 
-    def __init__(
-        self, module: IRModule, fuel: int = 200_000, flat: bool = False
-    ) -> None:
+    def __init__(self, module: IRModule, fuel: int = 200_000) -> None:
         self.module = module
         self.fuel = fuel
-        self.flat = flat
-        self._flat_cache: dict[str, tuple] = {}
         self.segments: dict[int, bytearray] = {}
         self.seg_names: dict[str, int] = {}
         self._next_seg = 0
@@ -174,8 +167,6 @@ class Interpreter:
     def _call_function(
         self, fn: IRFunction, args: list[int | float]
     ) -> int | float | None:
-        if self.flat:
-            return self._call_function_flat(fn, args)
         frame_segs: dict[str, int] = {}
         for slot, size in fn.slots.items():
             frame_segs[slot] = self._new_segment(size)
@@ -300,13 +291,9 @@ class Interpreter:
         return ((self._FN_SEG_BASE + names.index(name)) << SEG_SHIFT) | 1
 
     def _binop(self, instr: BinOp, temps) -> int | float:
+        op, ty = instr.op, instr.ty
         a = self._value(instr.lhs, temps)
         b = self._value(instr.rhs, temps)
-        return self._binop_values(instr.op, instr.ty, a, b)
-
-    def _binop_values(
-        self, op: str, ty: IRType, a: int | float, b: int | float
-    ) -> int | float:
         if op.startswith(("lt", "le", "gt", "ge", "eq", "ne")):
             if op.endswith("u") and ty.is_int:
                 a, b = _unsigned(a, ty), _unsigned(b, ty)
@@ -365,89 +352,13 @@ class Interpreter:
 
     def _cast(self, instr: Cast, temps) -> int | float:
         v = self._value(instr.src, temps)
-        return self._cast_value(v, instr.to_ty, instr.signed)
-
-    def _cast_value(self, v: int | float, to: IRType, signed: bool) -> int | float:
+        to = instr.to_ty
         if to.is_float:
             return _clamp_float(float(v), to)
         if to is IRType.PTR:
             return int(v)
         iv = int(v)
-        return _wrap(iv, to) if signed else _unsigned(_wrap(iv, to), to)
-
-    # -- flat execution ----------------------------------------------------
-
-    def _flat_entry(self, fn: IRFunction):
-        """The cached (buffer, label-id block map) encoding of ``fn``.
-
-        A function that already carries a flat buffer — a ``FlatFunction``
-        from the buffer-direct irgen, or anything exposing ``.buffer()``
-        such as a ``FunctionSnapshot``-backed carrier — is used as-is; only
-        plain object functions pay the ``from_nodes`` encode, and only once
-        per function identity.
-        """
-        cached = self._flat_cache.get(fn.name)
-        if cached is not None and cached[0] is fn:
-            return cached[1], cached[2]
-        buffer = getattr(fn, "buffer", None)
-        if buffer is not None:
-            buf = buffer()
-        else:
-            from repro.compiler.flatir import from_nodes
-
-            buf = from_nodes(fn)
-        block_map = {blk[0]: blk for blk in buf.blocks}
-        self._flat_cache[fn.name] = (fn, buf, block_map)
-        return buf, block_map
-
-    def _flat_value(self, buf, enc: int, temps) -> int | float:
-        if enc & 3 == 2:  # TAG_IMM
-            return buf.imms[enc >> 2].value
-        idx = enc >> 2
-        if idx not in temps:
-            raise Trap(f"use of undefined temp %t{idx}")
-        return temps[idx]
-
-    def _call_function_flat(
-        self, fn: IRFunction, args: list[int | float]
-    ) -> int | float | None:
-        buf, block_map = self._flat_entry(fn)
-        frame_segs: dict[str, int] = {}
-        for slot, size in fn.slots.items():
-            frame_segs[slot] = self._new_segment(size)
-        temps: dict[int, int | float] = {}
-        for i, _p in enumerate(fn.params):
-            temps[-(i + 1)] = args[i] if i < len(args) else 0
-        if not buf.blocks:
-            return 0
-        label = buf.blocks[0][0]
-        opcl = buf.opc
-        dispatch = _FLAT_DISPATCH
-        while True:
-            block = block_map.get(label)
-            if block is None:
-                raise Trap(f"jump to unknown block {buf.names[label]}")
-            next_label: int | None = None
-            for i in block[1]:
-                self.fuel -= 1
-                if self.fuel <= 0:
-                    raise OutOfFuel
-                result = dispatch[opcl[i]](self, buf, i, temps, frame_segs)
-                if result is not None:
-                    kind, payload = result
-                    if kind == "jmp":
-                        next_label = payload
-                        break
-                    if kind == "ret":
-                        for seg in frame_segs.values():
-                            self.segments.pop(seg, None)
-                        return payload
-            if next_label is None:
-                # Fell off the end of a block without a terminator.
-                for seg in frame_segs.values():
-                    self.segments.pop(seg, None)
-                return 0
-            label = next_label
+        return _wrap(iv, to) if instr.signed else _unsigned(_wrap(iv, to), to)
 
     # -- library -----------------------------------------------------------
 
@@ -648,133 +559,7 @@ def _clamp_float(value: float, ty: IRType) -> float:
 
 
 def execute(
-    module: IRModule,
-    entry: str = "main",
-    fuel: int = 200_000,
-    flat: bool = False,
+    module: IRModule, entry: str = "main", fuel: int = 200_000
 ) -> ExecResult:
     """Convenience wrapper: run ``entry`` and return the result."""
-    interp = Interpreter(module, fuel=fuel, flat=flat)
-    result = interp.run(entry)
-    return result
-
-
-# -- flat dispatch table ------------------------------------------------------
-#
-# One handler per opcode int, indexed by the flatir opcode constants; each
-# mirrors the corresponding isinstance branch of ``Interpreter._step``.
-
-
-def _fi_binop(interp, buf, i, temps, frame_segs):
-    a = interp._flat_value(buf, buf.a[i], temps)
-    b = interp._flat_value(buf, buf.b[i], temps)
-    temps[buf.dst[i]] = interp._binop_values(
-        buf.names[buf.aux[i]], _FLAT_TYPES[buf.ty[i]], a, b
-    )
-
-
-def _fi_unop(interp, buf, i, temps, frame_segs):
-    v = interp._flat_value(buf, buf.a[i], temps)
-    op = buf.names[buf.aux[i]]
-    if op == "neg":
-        out = -v
-    elif op == "bnot":
-        out = ~int(v)
-    elif op == "lnot":
-        out = int(not v)
-    else:
-        raise Trap(f"unknown unop {op}")
-    temps[buf.dst[i]] = _wrap(out, _FLAT_TYPES[buf.ty[i]])
-
-
-def _fi_cast(interp, buf, i, temps, frame_segs):
-    v = interp._flat_value(buf, buf.a[i], temps)
-    temps[buf.dst[i]] = interp._cast_value(
-        v, _FLAT_TYPES[buf.ty[i]], bool(buf.aux[i] & 1)
-    )
-
-
-def _fi_localaddr(interp, buf, i, temps, frame_segs):
-    slot = buf.names[buf.aux[i]]
-    seg = frame_segs.get(slot)
-    if seg is None:
-        raise Trap(f"unknown slot {slot}")
-    temps[buf.dst[i]] = interp._ptr(seg)
-
-
-def _fi_globaladdr(interp, buf, i, temps, frame_segs):
-    name = buf.names[buf.aux[i]]
-    if name in interp.seg_names:
-        temps[buf.dst[i]] = interp._ptr(interp.seg_names[name])
-    elif name in interp.module.functions:
-        temps[buf.dst[i]] = interp._fn_ptr(name)
-    else:
-        raise Trap(f"unknown global {name}")
-
-
-def _fi_load(interp, buf, i, temps, frame_segs):
-    seg, off = interp._decode(int(interp._flat_value(buf, buf.a[i], temps)))
-    temps[buf.dst[i]] = interp._read(seg, off, _FLAT_TYPES[buf.ty[i]])
-
-
-def _fi_store(interp, buf, i, temps, frame_segs):
-    seg, off = interp._decode(int(interp._flat_value(buf, buf.a[i], temps)))
-    interp._write(
-        seg, off, _FLAT_TYPES[buf.ty[i]],
-        interp._flat_value(buf, buf.b[i], temps),
-    )
-
-
-def _fi_gep(interp, buf, i, temps, frame_segs):
-    base = int(interp._flat_value(buf, buf.a[i], temps))
-    index = int(interp._flat_value(buf, buf.b[i], temps))
-    scale, offset = buf.xdata[buf.aux[i]]
-    temps[buf.dst[i]] = base + index * scale + offset
-
-
-def _fi_call(interp, buf, i, temps, frame_segs):
-    callee, arg_encs, _arg_tys = buf.xdata[buf.aux[i]]
-    name = buf.names[callee]
-    args = [interp._flat_value(buf, e, temps) for e in arg_encs]
-    if name in interp.module.functions:
-        value = interp._call_function_flat(interp.module.functions[name], args)
-    else:
-        handler = getattr(interp, f"_lib_{name}", None)
-        if handler is None:
-            raise Trap(f"call to unknown function {name!r}")
-        value = handler(args)
-    d = buf.dst[i]
-    if d is not None:
-        temps[d] = value if value is not None else 0
-
-
-def _fi_memcpy(interp, buf, i, temps, frame_segs):
-    dseg, doff = interp._decode(int(interp._flat_value(buf, buf.a[i], temps)))
-    sseg, soff = interp._decode(int(interp._flat_value(buf, buf.b[i], temps)))
-    size = buf.aux[i]
-    data = bytes(interp.segments[sseg][soff : soff + size])
-    if doff + size > len(interp.segments[dseg]):
-        raise Trap("memcpy overflow")
-    interp.segments[dseg][doff : doff + size] = data
-
-
-def _fi_jmp(interp, buf, i, temps, frame_segs):
-    return ("jmp", buf.aux[i])
-
-
-def _fi_br(interp, buf, i, temps, frame_segs):
-    cond = interp._flat_value(buf, buf.a[i], temps)
-    return ("jmp", buf.b[i] if cond else buf.aux[i])
-
-
-def _fi_ret(interp, buf, i, temps, frame_segs):
-    e = buf.a[i]
-    value = interp._flat_value(buf, e, temps) if e != 0 else None
-    return ("ret", value)
-
-
-#: Indexed by the flatir opcode ints (OP_BINOP..OP_RET).
-_FLAT_DISPATCH = (
-    _fi_binop, _fi_unop, _fi_cast, _fi_localaddr, _fi_globaladdr, _fi_load,
-    _fi_store, _fi_gep, _fi_call, _fi_memcpy, _fi_jmp, _fi_br, _fi_ret,
-)
+    return Interpreter(module, fuel=fuel).run(entry)

@@ -84,7 +84,6 @@ def run_middle(
             flags=compiler._personality_flags(flags),
             checkpoint=run.checkpoint,
             flat_native=compiler.flat_native,
-            bridge=compiler.bridge,
         )
         ctx.stats.journal = run.journal
         run.optimize(module, ctx)

@@ -4,9 +4,9 @@
 ports of :func:`repro.compiler.passes.local_opt` / ``cleanup_opt``: every
 fixpoint round runs as int-dispatch loops over the parallel arrays of the
 function's :class:`~repro.compiler.flatir.IRBuffer` (no instruction or
-operand objects are allocated while optimizing).  A buffer-backed
-:class:`~repro.compiler.flatir.FlatFunction` is optimized in place; a plain
-``IRFunction`` is encoded once and decoded back once at the end.
+operand objects are allocated while optimizing).  They take only a
+buffer-backed :class:`~repro.compiler.flatir.FlatFunction` and optimize it
+in place.
 
 The flat round is a *fused* walk: each round of the sequential object loop
 runs const_fold, simplify_cfg, forward_store, cse and dce as five full
@@ -50,7 +50,7 @@ from __future__ import annotations
 from repro.compiler.flatir import (
     F32_TAG, NONE, OP_BINOP, OP_BR, OP_CALL, OP_CAST, OP_GEP, OP_GLOBALADDR,
     OP_JMP, OP_LOAD, OP_LOCALADDR, OP_MEMCPY, OP_RET, OP_STORE, OP_UNOP,
-    TAG_IMM, TAG_TEMP, TERMINATOR_OPS, TYPES, from_nodes, to_nodes,
+    TAG_IMM, TAG_TEMP, TERMINATOR_OPS, TYPES,
 )
 from repro.compiler.ir import ImmInt
 from repro.compiler.passes.const_fold import _wrap, fold_binop_values
@@ -536,26 +536,13 @@ def _dce(buf, ctx) -> bool:
         changed = True
 
 
-def _enter_buffer(fn, ctx):
-    """The working buffer for ``fn`` plus whether to write object IR back.
-
-    A buffer-backed :class:`~repro.compiler.flatir.FlatFunction` is mutated
-    in place with no bridge crossing; a plain ``IRFunction`` pays the
-    encode/decode bridge, charged to ``ctx.bridge``.
-    """
-    buffer = getattr(fn, "buffer", None)
-    if buffer is not None:
-        return buffer(), False
-    return from_nodes(fn, ctx.bridge), True
-
-
 def flat_local_opt(fn, ctx) -> None:
-    """The per-function -O1 fixpoint round over the flat buffer.
+    """The per-function -O1 fixpoint round over a buffer-backed function.
 
     Always runs the fused walk (bit-identical in IR, coverage, and stats to
     the sequential object round).
     """
-    buf, writeback = _enter_buffer(fn, ctx)
+    buf = fn.buffer()
     changed = True
     rounds = 0
     while changed and rounds < 4:
@@ -570,17 +557,13 @@ def flat_local_opt(fn, ctx) -> None:
         _replace_all(buf, mapping, _chain_get)
         changed |= _dce(buf, ctx)
     ctx.stats.bump("opt_rounds", rounds)
-    if writeback:
-        fn.blocks = to_nodes(buf, ctx.bridge).blocks
 
 
 def flat_cleanup_opt(fn, ctx) -> None:
     """The post-inline cleanup round (const_fold + simplify_cfg + dce)."""
-    buf, writeback = _enter_buffer(fn, ctx)
+    buf = fn.buffer()
     mapping: dict = {}
     _const_fold(buf, ctx, mapping, _flat_get)
     _replace_all(buf, mapping, _flat_get)
     _simplify_cfg(buf, ctx)
     _dce(buf, ctx)
-    if writeback:
-        fn.blocks = to_nodes(buf, ctx.bridge).blocks

@@ -116,18 +116,17 @@ def make_fuzzer(
 ) -> Fuzzer:
     """Instantiate one of the six evaluated fuzzers by its paper name.
 
-    ``flat_native`` sets the compiler's middle end for every fuzzer kind,
-    the generator baselines included: ``False`` selects the object-IR
-    reference, ``True`` the buffer-native production path, and ``None``
-    keeps the compiler's own setting (buffer-native by default).  The
-    μCFuzz variants are always warm: front-end cache, dirty-region front
-    end and, on the flat-native middle end, a private compile session.
+    The fuzzer runs on ``compiler``'s middle end (``Compiler(flat_native=
+    ...)``); no fuzzer kind changes it.  The μCFuzz variants are always
+    warm: front-end cache, dirty-region front end and, on the flat-native
+    middle end, a private compile session.
 
-    ``session``, ``fuse_passes``, ``flat_ir`` and ``batch_compile`` name
-    parts of that one path and accept only ``True`` or their default;
-    ``False`` asks for a deleted configuration and raises ``ValueError``,
-    as does ``flat_ir=True`` or ``session=True`` on the object-IR
-    reference.
+    ``session``, ``fuse_passes``, ``flat_ir``, ``flat_native`` and
+    ``batch_compile`` name parts of that one path and only check it:
+    ``False`` for the first three asks for a deleted configuration, a
+    ``flat_native`` that disagrees with ``compiler.flat_native`` asks for
+    the other middle end, and ``flat_ir=True`` or ``session=True`` on the
+    object-IR reference is contradictory.  Each raises ``ValueError``.
     """
     # Benchmark-compatibility keywords: they go with the next benchmark change.
     for knob, value in (
@@ -140,19 +139,21 @@ def make_fuzzer(
                 f"{knob}=False selects a deleted configuration: the warm "
                 "path always runs the compile session and batched steps"
             )
-    if flat_native is None:
-        flat_native = compiler.flat_native
-    if flat_ir and not flat_native:
+    if flat_native is not None and flat_native != compiler.flat_native:
+        raise ValueError(
+            f"flat_native={flat_native} disagrees with the compiler: the "
+            "middle end is chosen once, by Compiler(flat_native=...)"
+        )
+    if flat_ir and not compiler.flat_native:
         raise ValueError(
             "flat_ir=True needs the flat-native middle end, "
-            "but flat_native is False"
+            "but the compiler is the object-IR reference"
         )
-    if session and not flat_native:
+    if session and not compiler.flat_native:
         raise ValueError(
             "session=True needs the flat-native middle end; "
             "flat_native=False is the object-IR reference"
         )
-    compiler.flat_native = flat_native
     quarantine = (
         MutatorQuarantine(quarantine_threshold)
         if quarantine_threshold is not None
@@ -283,10 +284,6 @@ class Campaign:
     #: Differentially check every compile against the object-IR reference
     #: (slow; CI/tests only).
     paranoid: bool = False
-    #: Keep the whole middle end buffer-native — buffer-direct irgen, flat
-    #: passes, session-served replay.  The production default; ``False``
-    #: runs every cell on the object-IR reference pipeline.
-    flat_native: bool = True
     #: Evolutionary mutator scheduling: give each μCFuzz cell a
     #: fitness-proportional :class:`MutatorScheduler` seeded from the cell
     #: seed (scheduled cells stay serial == parallel == fabric identical).
@@ -326,7 +323,6 @@ class Campaign:
                 quarantine_threshold=self.quarantine_threshold,
                 cache_maxsize=self.cache_maxsize,
                 paranoid=self.paranoid,
-                flat_native=self.flat_native,
                 schedule=self.schedule,
                 mutator_stats=self.mutator_stats,
                 telemetry_dir=self.telemetry_dir,

@@ -51,24 +51,19 @@ class MuCFuzz(CoverageGuidedFuzzer):
         paranoid: bool = False,
         quarantine: MutatorQuarantine | None = None,
         session: CompileSession | None = None,
-        flat_native: bool | None = None,
         scheduler: MutatorScheduler | None = None,
         mutator_stats: bool | None = None,
     ) -> None:
         super().__init__(compiler, rng, seeds)
         self.mutators = list(mutators)
         self.name = name
-        # ``None`` keeps the compiler's own middle end (buffer-native by
-        # default); ``False`` selects the object-IR reference, ``True`` the
-        # buffer-native production path.
-        if flat_native is None:
-            flat_native = compiler.flat_native
-        if session is not None and not flat_native:
+        # The middle end is the compiler's (``Compiler(flat_native=...)``);
+        # a fuzzer only reads it.
+        if session is not None and not compiler.flat_native:
             raise ValueError(
                 "a CompileSession serves flat-native compiles only; "
                 "flat_native=False is the object-IR reference"
             )
-        compiler.flat_native = flat_native
         if cache is not None:
             self.cache = cache
         elif use_cache:
@@ -88,7 +83,7 @@ class MuCFuzz(CoverageGuidedFuzzer):
         #: runs against: the one passed in, else a private one whenever the
         #: fuzzer is warm (has a front-end cache) on the flat-native middle
         #: end.  Passed per call, never installed on the shared compiler.
-        if session is None and self.cache is not None and flat_native:
+        if session is None and self.cache is not None and compiler.flat_native:
             session = CompileSession()
         self.session = session
         #: Cross-check every compile off the reference path against a cold

@@ -104,9 +104,6 @@ class CellSpec:
     cache_maxsize: int | None = None
     #: Cross-check every compile against the object-IR reference (CI/tests).
     paranoid: bool = False
-    #: Keep the whole middle end buffer-native; the default.  ``False`` runs
-    #: the cell on the object-IR reference.
-    flat_native: bool = True
     #: Evolutionary mutator scheduling: the worker builds a
     #: :class:`~repro.fuzzing.schedule.MutatorScheduler` seeded from
     #: ``cell_seed``, so every execution of the spec — serial, parallel,
@@ -127,14 +124,23 @@ class CellSpec:
     attempt: int = 0
 
 
+#: The meaning of :func:`cell_key`'s identity tuple.  Bump it whenever a
+#: field joins or leaves the tuple or changes meaning, so checkpoints
+#: written under the old meaning miss their key and rerun instead of being
+#: read as this one.  2: ``flat_native`` left the cell (the middle end is
+#: the compiler's).
+CELL_KEY_VERSION = 2
+
+
 def cell_key(spec: CellSpec) -> str:
     """A stable checkpoint key over the cell's *identity* fields.
 
     Excludes ``fault`` and ``attempt`` (execution circumstances, not
-    identity) and ``registry`` (checkpointing assumes the process-global
-    registry, which is identical in every worker).
+    identity), ``telemetry_dir`` and ``registry`` (checkpointing assumes
+    the process-global registry, which is identical in every worker).
     """
     ident = (
+        CELL_KEY_VERSION,
         spec.fuzzer_name,
         spec.personality,
         spec.version,
@@ -147,7 +153,6 @@ def cell_key(spec: CellSpec) -> str:
         spec.quarantine_threshold,
         spec.cache_maxsize,
         spec.paranoid,
-        spec.flat_native,
         spec.schedule,
         spec.mutator_stats,
     )
@@ -240,7 +245,6 @@ def run_cell(spec: CellSpec) -> "CampaignResult":
         quarantine_threshold=spec.quarantine_threshold,
         cache_maxsize=spec.cache_maxsize,
         paranoid=spec.paranoid,
-        flat_native=spec.flat_native,
         scheduler=scheduler,
         mutator_stats=spec.mutator_stats,
         telemetry=session,

@@ -78,7 +78,7 @@ def _build_fuzzer(
     from repro.fuzzing.mucfuzz import MuCFuzz
     from repro.muast.registry import global_registry
 
-    compiler = Compiler(*GCC_SIM)
+    compiler = Compiler(*GCC_SIM, flat_native=flat_native)
     mutators = (
         global_registry.unsupervised()
         if fuzzer_name == "uCFuzz.u"
@@ -93,7 +93,6 @@ def _build_fuzzer(
         use_cache=use_cache,
         cache_maxsize=cache_maxsize,
         paranoid=paranoid,
-        flat_native=flat_native,
     )
 
 

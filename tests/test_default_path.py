@@ -6,10 +6,12 @@ agree field for field on fresh Csmith-style programs under both
 personalities, at every -O level and with every samplable flag: cold
 (the generator baselines' path), through the front-end cache's dirty-region
 front end with the plain middle end, and through a compile session (mutants'
-clean functions replayed).  The knob means the same thing at every layer
-that accepts it, and contradictory combinations are refused.
+clean functions replayed).  The knob is chosen once, on the ``Compiler``:
+fuzzers read it and never write it, and contradictory combinations are
+refused.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -26,11 +28,13 @@ from repro.compiler.flatir import FlatFunction
 from repro.compiler.ir import IRFunction
 from repro.compiler.session import CompileSession
 from repro.fuzzing.baselines.csmith import CSMITH_POLICY
+from repro.fuzzing import parallel
 from repro.fuzzing.campaign import make_fuzzer, run_campaign
 from repro.fuzzing.mucfuzz import MuCFuzz
-from repro.fuzzing.parallel import CellSpec, cell_key, run_cell
+from repro.fuzzing.parallel import CellSpec, cell_key
 from repro.fuzzing.progen import ProgramGenerator
 from repro.muast.mutator import apply_mutator
+from repro.resilience.faultinject import CellFault
 
 PERSONALITIES = {"gcc": GCC_SIM, "clang": CLANG_SIM}
 #: One flag set per program, cycling through every samplable flag plus none.
@@ -76,22 +80,22 @@ def test_warm_default_matches_object_reference(
     # dirty region and, with a session, replay their clean functions.
     cache = FrontendCache()
     session = CompileSession() if path == "session" else None
-    warm = Compiler(*PERSONALITIES[personality], cache=cache, session=session)
+    warm = Compiler(*PERSONALITIES[personality])
     reference = Compiler(*PERSONALITIES[personality], flat_native=False)
     rng = random.Random(f"{personality}:{path}:{opt_level}")
     mutators = registry.supervised()
     compared = 0
     for i, text in enumerate(programs[:12]):
         flags = FLAG_SETS[i % len(FLAG_SETS)]
-        warm.compile(text, opt_level, flags)
+        warm.compile(text, opt_level, flags, cache=cache, session=session)
         for _ in range(3):
             info = rng.choice(mutators)
             outcome = apply_mutator(info.create(rng), text, cache=cache)
             if not outcome.changed or not outcome.edits:
                 continue
             a = warm.compile(
-                outcome.mutant_text, opt_level, flags,
-                edits_from=(text, outcome.edits),
+                outcome.mutant_text, opt_level, flags, cache=cache,
+                edits_from=(text, outcome.edits), session=session,
             )
             b = reference.compile(outcome.mutant_text, opt_level, flags)
             assert_results_equal(a, b)
@@ -128,10 +132,8 @@ def test_flat_native_false_is_object_ir(programs):
 def test_object_reference_ignores_cache_and_session(programs):
     cache = FrontendCache()
     session = CompileSession()
-    compiler = Compiler(
-        *GCC_SIM, cache=cache, session=session, flat_native=False
-    )
-    result = compiler.compile(programs[0])
+    compiler = Compiler(*GCC_SIM, flat_native=False)
+    result = compiler.compile(programs[0], cache=cache, session=session)
     assert result.ok
     entry = cache.peek(programs[0])
     assert entry is not None  # the front end still went through the cache
@@ -163,13 +165,12 @@ def test_paranoid_checks_cold_compiles(programs, monkeypatch):
 def test_make_fuzzer_flat_native_false_selects_object_ir(
     name, registry, small_seeds
 ):
-    compiler = Compiler(*GCC_SIM)
+    compiler = Compiler(*GCC_SIM, flat_native=False)
     fuzzer = make_fuzzer(
         name, compiler, small_seeds[:4], registry, random.Random(3),
         flat_native=False,
     )
     assert fuzzer.compiler is compiler
-    assert not compiler.flat_native
     modules = []
     for _ in range(4):
         result = fuzzer.step().result
@@ -178,12 +179,13 @@ def test_make_fuzzer_flat_native_false_selects_object_ir(
     assert modules
     for module in modules:
         assert all(type(fn) is IRFunction for fn in module.functions.values())
-    # ...and ``True`` turns it back on, on the same compiler.
-    make_fuzzer(
-        name, compiler, small_seeds[:4], registry, random.Random(3),
-        flat_native=True,
-    )
-    assert compiler.flat_native
+    # The keyword only checks the compiler's middle end; it never flips it.
+    with pytest.raises(ValueError, match="disagrees"):
+        make_fuzzer(
+            name, compiler, small_seeds[:4], registry, random.Random(3),
+            flat_native=True,
+        )
+    assert not compiler.flat_native
 
 
 def test_make_fuzzer_default_keeps_the_compiler_setting(registry, small_seeds):
@@ -195,16 +197,27 @@ def test_make_fuzzer_default_keeps_the_compiler_setting(registry, small_seeds):
     assert compiler.flat_native
 
 
-def test_cell_key_names_the_path(small_seeds):
-    base = dict(
+def test_cell_key_names_the_path(monkeypatch, tmp_path):
+    # Every cell compiles on the flat-native path, so the path is named by
+    # the key's version rather than by a field of the cell.
+    spec = CellSpec(
         fuzzer_name="Csmith", personality="gcc-sim", version="14",
         bug_seed=20240427, seeds=(), steps=3, cell_seed=5,
     )
-    flat, obj = CellSpec(**base), CellSpec(**base, flat_native=False)
-    assert flat.flat_native
-    assert cell_key(flat) != cell_key(obj)
-    a, b = run_cell(flat), run_cell(obj)
-    assert a.to_json() == b.to_json()
+    assert not hasattr(spec, "flat_native")
+    key = cell_key(spec)
+    # Circumstance fields stay out of the key...
+    circumstance = dataclasses.replace(
+        spec, fault=CellFault(kind="raise"), attempt=3,
+        telemetry_dir=str(tmp_path),
+    )
+    assert cell_key(circumstance) == key
+    # ...while a new key version retires every checkpoint of the old one.
+    monkeypatch.setattr(
+        parallel, "CELL_KEY_VERSION", parallel.CELL_KEY_VERSION + 1
+    )
+    assert cell_key(spec) != key
+    assert cell_key(circumstance) == cell_key(spec)
 
 
 def test_make_fuzzer_rejects_flat_ir_on_the_object_reference(
@@ -212,8 +225,8 @@ def test_make_fuzzer_rejects_flat_ir_on_the_object_reference(
 ):
     with pytest.raises(ValueError, match="flat_ir"):
         make_fuzzer(
-            "uCFuzz.s", Compiler(*GCC_SIM), small_seeds[:4], registry,
-            random.Random(3), flat_ir=True, flat_native=False,
+            "uCFuzz.s", Compiler(*GCC_SIM, flat_native=False),
+            small_seeds[:4], registry, random.Random(3), flat_ir=True,
         )
     # flat_ir is implied by the flat-native path, so asking for both is fine.
     fuzzer = make_fuzzer(
@@ -230,14 +243,14 @@ def test_session_on_the_object_reference_is_refused(
     with pytest.raises(ValueError, match="flat-native"):
         if session is True:
             make_fuzzer(
-                "uCFuzz.s", Compiler(*GCC_SIM), small_seeds[:4], registry,
-                random.Random(3), session=True, flat_native=False,
+                "uCFuzz.s", Compiler(*GCC_SIM, flat_native=False),
+                small_seeds[:4], registry, random.Random(3), session=True,
             )
         else:
             MuCFuzz(
-                Compiler(*GCC_SIM), random.Random(3), small_seeds[:4],
-                registry.supervised(), session=CompileSession(),
-                flat_native=False,
+                Compiler(*GCC_SIM, flat_native=False), random.Random(3),
+                small_seeds[:4], registry.supervised(),
+                session=CompileSession(),
             )
 
 

@@ -8,6 +8,7 @@ and campaigns are bit-identical to the object-IR reference.
 """
 
 import copy
+import hashlib
 import math
 import random
 import struct
@@ -342,34 +343,27 @@ class TestFlatNativeCompile:
             kwargs["cache"] = FrontendCache()
         if arm == "session":
             kwargs["session"] = CompileSession()
-        compiler = Compiler(*GCC_SIM, flat_native=True, **kwargs)
+        compiler = Compiler(*GCC_SIM, flat_native=True)
         for _ in range(2):  # second compile exercises the cache/session memo
-            result = compiler.compile(_PROGRAM, 2, ())
+            result = compiler.compile(_PROGRAM, 2, (), **kwargs)
             assert result.ok and result.asm == ref.asm
             assert result.features == ref.features
         assert compiler.bridge.encodes == 0
         assert compiler.bridge.decodes == 0
 
     def test_paranoid_differential(self):
-        compiler = Compiler(
-            *GCC_SIM,
-            flat_native=True,
-            cache=FrontendCache(),
-            session=CompileSession(),
+        result = Compiler(*GCC_SIM, flat_native=True).compile(
+            _PROGRAM, 2, (), paranoid=True,
+            cache=FrontendCache(), session=CompileSession(),
         )
-        result = compiler.compile(_PROGRAM, 2, (), paranoid=True)
         assert result.ok
 
     def test_corpus_matches_object_compile(self, small_seeds):
-        flat = Compiler(
-            *GCC_SIM,
-            flat_native=True,
-            cache=FrontendCache(),
-            session=CompileSession(),
-        )
+        flat = Compiler(*GCC_SIM, flat_native=True)
+        warm = dict(cache=FrontendCache(), session=CompileSession())
         ref = Compiler(*GCC_SIM, flat_native=False)
         for text in small_seeds[:15]:
-            a = flat.compile(text, 2, ())
+            a = flat.compile(text, 2, (), **warm)
             b = ref.compile(text, 2, ())
             assert a.ok == b.ok
             assert a.asm == b.asm
@@ -381,13 +375,11 @@ class TestFlatNativeCampaign:
     def _run(self, flat_native, steps=25):
         # The flat-native arm runs the production session; the object-IR
         # reference takes the plain pipeline, which never uses a session.
-        compiler = Compiler(*GCC_SIM, flat_native=flat_native)
         fuzzer = MuCFuzz(
-            compiler,
+            Compiler(*GCC_SIM, flat_native=flat_native),
             random.Random(11),
             ["int main(void) { return 0; }"],
             global_registry.supervised(),
-            flat_native=flat_native,
         )
         for _ in range(steps):
             fuzzer.step()
@@ -415,9 +407,23 @@ class TestFlatNativeCampaign:
             steps=5,
             cell_seed=3,
         )
-        plain = CellSpec(**base, flat_native=False)
-        flat = CellSpec(**base)
-        assert cell_key(plain) != cell_key(flat)
+        # The middle end is the compiler's, never a cell field...
+        with pytest.raises(TypeError):
+            CellSpec(**base, flat_native=False)
+        spec = CellSpec(**base)
+        # ...so a checkpoint keyed when cells still chose it (an unversioned
+        # tuple ending in the flat_native flag) is never read as this cell.
+        for flat_native in (True, False):
+            ident = (
+                spec.fuzzer_name, spec.personality, spec.version,
+                spec.bug_seed, spec.seeds, spec.steps, spec.cell_seed,
+                spec.virtual_hours, spec.sample_points,
+                spec.quarantine_threshold, spec.cache_maxsize, spec.paranoid,
+                flat_native, spec.schedule, spec.mutator_stats,
+            )
+            digest = hashlib.sha1(repr(ident).encode("utf-8")).hexdigest()
+            old_key = f"{spec.fuzzer_name}-{spec.personality}-{digest[:16]}"
+            assert cell_key(spec) != old_key
 
 
 class TestFunctionSnapshotFlat:
@@ -426,7 +432,7 @@ class TestFunctionSnapshotFlat:
         counters = BridgeCounters()
         module = FlatIRGen(sema, CoverageMap(), counters=counters).lower(unit)
         fn = module.functions["tiny"]
-        snap = FunctionSnapshot.of(fn, counters)
+        snap = FunctionSnapshot.of(fn)
         assert counters.encodes == 0 and counters.decodes == 0
         assert snap.buf is not fn.buffer()
         assert to_nodes(snap.buf).dump() == fn.dump()

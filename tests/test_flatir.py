@@ -3,11 +3,14 @@
 The flat IR (:mod:`repro.compiler.flatir` + :mod:`repro.compiler.passes.flat`)
 is a pure representation change: every test here is an equivalence property
 against the object-IR pipeline — same IR dumps, same coverage edges, same
-stats, same asm, same interpreter observables — over the seed corpus, the
-mutator corpus (the fuzzing hot path's actual inputs), and random programs.
+stats, same asm — over the seed corpus, the mutator corpus (the fuzzing hot
+path's actual inputs), and random programs.  Flat passes take buffer-backed
+functions only, so object functions enter them as
+``FlatFunction(from_nodes(fn))``.
 """
 
 import copy
+import functools
 import random
 import time
 
@@ -18,9 +21,14 @@ from repro.cast.parser import parse
 from repro.cast.sema import Sema
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.driver import Compiler, GCC_SIM
-from repro.compiler.flatir import FunctionSnapshot, IRBuffer, from_nodes, to_nodes
+from repro.compiler.flatir import (
+    FlatFunction,
+    FunctionSnapshot,
+    IRBuffer,
+    from_nodes,
+    to_nodes,
+)
 from repro.compiler.driver import assert_results_equal
-from repro.compiler.interp import execute
 from repro.compiler.irgen import IRGen
 from repro.compiler.passes import OptContext, local_opt, cleanup_opt
 from repro.compiler.session import CompileSession
@@ -123,7 +131,7 @@ class TestFlatOptEquivalence:
         checked = 0
         for name in module.functions:
             obj_fn = copy.deepcopy(module.functions[name])
-            flat_fn = copy.deepcopy(module.functions[name])
+            flat_fn = FlatFunction(from_nodes(module.functions[name]))
             obj_ctx = OptContext(cov=CoverageMap(), opt_level=opt_level)
             local_opt(obj_fn, obj_ctx)
             flat_ctx = OptContext(
@@ -158,7 +166,7 @@ class TestFlatOptEquivalence:
                 continue
             for name in module.functions:
                 obj_fn = copy.deepcopy(module.functions[name])
-                flat_fn = copy.deepcopy(module.functions[name])
+                flat_fn = FlatFunction(from_nodes(module.functions[name]))
                 obj_ctx = OptContext(cov=CoverageMap(), opt_level=2)
                 flat_ctx = OptContext(cov=CoverageMap(), opt_level=2, flat_native=True)
                 cleanup_opt(obj_fn, obj_ctx)
@@ -172,15 +180,19 @@ class TestFlatCompileEquivalence:
     """Session-served flat-native compiles == the object-IR reference."""
 
     def _compilers(self):
-        flat = Compiler(*GCC_SIM, cache=FrontendCache(), session=CompileSession())
-        return flat, Compiler(*GCC_SIM, flat_native=False)
+        """(session-served flat compile, object-IR reference compile)."""
+        flat = functools.partial(
+            Compiler(*GCC_SIM).compile,
+            cache=FrontendCache(), session=CompileSession(),
+        )
+        return flat, Compiler(*GCC_SIM, flat_native=False).compile
 
     def test_seed_corpus(self, small_seeds):
         flat, plain = self._compilers()
         for text in small_seeds[:20]:
             for opt in (0, 2):
-                a = flat.compile(text, opt_level=opt, paranoid=True)
-                b = plain.compile(text, opt_level=opt)
+                a = flat(text, opt_level=opt, paranoid=True)
+                b = plain(text, opt_level=opt)
                 assert a.crashed == b.crashed
                 if not a.crashed:
                     assert_results_equal(a, b)
@@ -188,8 +200,8 @@ class TestFlatCompileEquivalence:
     def test_mutant_corpus(self, small_seeds):
         flat, plain = self._compilers()
         for text in _mutant_corpus(small_seeds[:12]):
-            a = flat.compile(text, opt_level=2, paranoid=True)
-            b = plain.compile(text, opt_level=2)
+            a = flat(text, opt_level=2, paranoid=True)
+            b = plain(text, opt_level=2)
             assert a.crashed == b.crashed
             if not a.crashed:
                 assert_results_equal(a, b)
@@ -197,47 +209,22 @@ class TestFlatCompileEquivalence:
     def test_random_programs(self):
         flat, plain = self._compilers()
         for text in _random_texts(10):
-            a = flat.compile(text, opt_level=2, paranoid=True)
-            b = plain.compile(text, opt_level=2)
+            a = flat(text, opt_level=2, paranoid=True)
+            b = plain(text, opt_level=2)
             assert a.crashed == b.crashed
             if not a.crashed:
                 assert_results_equal(a, b)
 
 
-class TestFlatInterpreter:
-    """The table-driven flat dispatch loop == the object-IR interpreter."""
-
-    def _check(self, text, opt_level):
-        module = _lower(text)
-        if module is None:
-            return 0
-        if opt_level:
-            from repro.compiler.passes import run_pipeline
-
-            run_pipeline(module, OptContext(cov=CoverageMap(), opt_level=opt_level))
-        obj = execute(module, fuel=100_000)
-        flat = execute(module, fuel=100_000, flat=True)
-        assert flat.observable == obj.observable, text
-        assert flat.reason == obj.reason, text
-        assert flat.status == obj.status, text
-        return 1
-
-    def test_seed_corpus(self, small_seeds):
-        assert sum(self._check(t, 0) + self._check(t, 2) for t in small_seeds[:20]) > 20
-
-    def test_random_programs(self):
-        for text in _random_texts(10, max_stmts=10):
-            self._check(text, 0)
-            self._check(text, 2)
-
-
 class TestFunctionSnapshot:
     def test_snapshot_is_isolated_from_source_mutation(self):
         module = _lower("int main(void) { int x = 1; return x + 2; }")
-        fn = module.functions["main"]
+        fn = FlatFunction(from_nodes(module.functions["main"]))
         before = fn.dump()
         snap = FunctionSnapshot.of(fn)
-        local_opt(fn, OptContext(cov=CoverageMap(), opt_level=2))
+        local_opt(
+            fn, OptContext(cov=CoverageMap(), opt_level=2, flat_native=True)
+        )
         assert fn.dump() != before  # the local round actually changed it
         assert to_nodes(snap.buf).dump() == before
 
@@ -258,8 +245,10 @@ class TestDeclDigestMemo:
     def test_session_surfaces_counter(self):
         session = CompileSession()
         assert session.stats()["decl_digest_memo_hits"] == 0
-        comp = Compiler(*GCC_SIM, cache=FrontendCache(), session=session)
-        comp.compile("int main(void) { return 3; }")
+        Compiler(*GCC_SIM).compile(
+            "int main(void) { return 3; }",
+            cache=FrontendCache(), session=session,
+        )
         assert "decl_digest_memo_hits" in session.stats()
 
 
@@ -303,35 +292,46 @@ class TestSpanBinding:
 
 
 class TestFlatKnobPlumbing:
-    def test_mucfuzz_knob_sets_compiler(self, registry, small_seeds):
+    def test_fuzzers_leave_the_compiler_middle_end_alone(
+        self, registry, small_seeds, monkeypatch
+    ):
+        import repro.compiler.driver as driver
+        from repro.fuzzing.campaign import FUZZER_NAMES, make_fuzzer
+
+        for flat_native in (True, False):
+            comp = Compiler(*GCC_SIM, flat_native=flat_native)
+            MuCFuzz(
+                comp, random.Random(1), small_seeds[:4],
+                registry.supervised(),
+            ).step()
+            assert comp.flat_native is flat_native
+            for name in FUZZER_NAMES:
+                make_fuzzer(
+                    name, comp, small_seeds[:4], registry, random.Random(1)
+                ).step()
+                assert comp.flat_native is flat_native
+        # A paranoid compile runs its object-IR reference elsewhere: the
+        # compiler's own setting holds even while the reference compiles.
         comp = Compiler(*GCC_SIM)
-        fuzzer = MuCFuzz(
-            comp, random.Random(1), small_seeds[:4], registry.supervised(),
-            flat_native=False,
-        )
-        assert comp.flat_native is False
-        fuzzer.step()
-        MuCFuzz(
-            comp, random.Random(1), small_seeds[:4], registry.supervised(),
-            flat_native=True,
-        )
-        assert comp.flat_native is True
+        seen = []
+        run_middle = driver.run_middle
+
+        def spy(*args, **kwargs):
+            seen.append(comp.flat_native)
+            return run_middle(*args, **kwargs)
+
+        monkeypatch.setattr(driver, "run_middle", spy)
+        comp.compile(small_seeds[0], paranoid=True)
+        assert seen == [True, True]  # the compile, then its reference
 
     def test_flat_campaign_matches_object_campaign(self, registry, small_seeds):
         from repro.fuzzing.campaign import run_campaign
 
         def run(flat):
-            comp = Compiler(*GCC_SIM)
-            if flat:
-                fuzzer = MuCFuzz(
-                    comp, random.Random(5), list(small_seeds[:6]),
-                    registry.supervised(),
-                )
-            else:
-                fuzzer = MuCFuzz(
-                    comp, random.Random(5), list(small_seeds[:6]),
-                    registry.supervised(), flat_native=False,
-                )
+            fuzzer = MuCFuzz(
+                Compiler(*GCC_SIM, flat_native=flat), random.Random(5),
+                list(small_seeds[:6]), registry.supervised(),
+            )
             return run_campaign(fuzzer, steps=12)
 
         a, b = run(True), run(False)
