@@ -3,8 +3,8 @@
 Not a paper table — this bench tracks the reproduction's own perf
 trajectory.  It runs the same μCFuzz.s campaign on the object-IR reference
 (no front-end cache), on the flat-native middle end cold (no cache, no
-session), and on the warm production path (flat-native + cache + compile
-session + batched per-step compilation) — identical RNG seed, hence an
+session), and on the warm production path (flat-native + cache +
+dirty-region front end + compile session) — identical RNG seed, hence an
 identical step sequence — and records steps/sec, the speedups,
 cache/session hit-rates, and the per-stage timing breakdown (one uniform
 zero-filled stage-key set per arm) to ``BENCH_throughput.json``.

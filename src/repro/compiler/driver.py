@@ -27,11 +27,7 @@ from repro.compiler.crash import CompilerCrash, CompilerHang
 from repro.compiler.flatir import BridgeCounters
 from repro.compiler.ir import IRModule
 from repro.compiler.middle import PlainRun, run_middle
-from repro.compiler.session import (
-    CompileSession,
-    lower_and_optimize_session,
-    middle_memo_key,
-)
+from repro.compiler.session import CompileSession, lower_and_optimize_session
 from repro.telemetry.spans import Tracer
 
 
@@ -133,14 +129,14 @@ class Compiler:
         program this text was mutated from, enabling dirty-region front-end
         reuse.  ``session`` interns per-function middle-end artifacts
         across compiles and replays them; without one the plain middle end
-        runs.  A ``flat_native=False`` compile runs the plain object-IR
-        middle end and drops any session it is handed.  ``paranoid=True``
-        cross-checks every compile off the reference path (flat-native or
-        front-end cached) against a cold ``flat_native=False`` one and
-        raises ``IncrementalDivergence`` on any observable mismatch.
+        runs.  A ``flat_native=False`` compile is the object-IR reference:
+        always cold, it drops any cache, edit script or session it is
+        handed.  ``paranoid=True`` cross-checks every flat-native compile
+        against a cold ``flat_native=False`` one and raises
+        ``IncrementalDivergence`` on any observable mismatch.
         """
         if not self.flat_native:
-            session = None
+            cache = edits_from = session = None
         cov = CoverageMap()
         result = CompileResult(False, self.name, coverage=cov)
         features: dict = {
@@ -174,10 +170,9 @@ class Compiler:
         if "backend" in stages:
             cost += 0.01 + 0.20 * u
         result.cost = cost
-        if paranoid and (self.flat_native or cache is not None):
-            # Any compile off the reference path — flat-native (cold ones
-            # included) or front-end cached — is checked against a cold
-            # object-IR compile, so every paranoid check doubles as a
+        if paranoid and self.flat_native:
+            # Every flat-native compile, cold ones included, is checked
+            # against a cold object-IR compile, so every paranoid check is a
             # flat-vs-object differential on top of the cached-vs-fresh one.
             reference = self._reference.compile(source_text, opt_level, flags)
             if session is not None:
@@ -195,41 +190,16 @@ class Compiler:
         session: CompileSession | None = None,
         until=None,
     ) -> list[CompileResult]:
-        """Compile one mutation attempt set against one session.
+        """Compile one mutation attempt set, one :meth:`compile` per request.
 
         ``requests`` is an iterable of ``(text, edits_from)`` pairs — lazily
         consumed, so a generator that draws fuzzer randomness keeps its exact
-        sequential draw order.  The first request's parent is materialized in
-        the session once per batch (if not already interned), so every
-        attempt's clean functions replay instead of re-lowering.  ``until``,
-        when given, is invoked with each result and truthy return stops the
-        batch early (μCFuzz's keep/crash early exit).
+        sequential draw order.  ``until``, when given, is invoked with each
+        result and truthy return stops the batch early (μCFuzz's keep/crash
+        early exit).
         """
-        if not self.flat_native:
-            session = None
         results: list[CompileResult] = []
-        materialized = False
         for text, edits_from in requests:
-            if (
-                session is not None
-                and edits_from is not None
-                and not materialized
-            ):
-                parent_text = edits_from[0]
-                options = middle_memo_key(
-                    self.name, self.bug_seed, opt_level, tuple(flags)
-                )
-                if not session.has_result(options, parent_text):
-                    # Observationally pure for the caller: the parent was
-                    # already compiled when it entered the pool, so this
-                    # warm-up adds no coverage/pool state and consumes no
-                    # fuzzer randomness.
-                    self.compile(
-                        parent_text, opt_level, flags,
-                        cache=cache, session=session,
-                    )
-                    session.materializations += 1
-                materialized = True
             result = self.compile(
                 text, opt_level, flags, cache=cache, edits_from=edits_from,
                 paranoid=paranoid, session=session,
@@ -323,8 +293,8 @@ class Compiler:
 def assert_results_equal(inc, full) -> None:
     """Raise :class:`IncrementalDivergence` unless two CompileResults match.
 
-    ``inc`` is the result produced off the reference path (flat-native,
-    front-end cached or session-served), ``full`` a cold object-IR compile
+    ``inc`` is a flat-native result (cold, front-end cached or
+    session-served), ``full`` a cold object-IR compile
     of the same text and options.  Every observable field must agree;
     modules are compared by dump.
     """

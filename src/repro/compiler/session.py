@@ -192,15 +192,10 @@ class SessionResult:
 class CompileSession:
     """A persistent cross-step store of interned middle-end artifacts."""
 
-    def __init__(
-        self,
-        maxsize: int = DEFAULT_SESSION_SIZE,
-        result_maxsize: int = DEFAULT_RESULT_SIZE,
-    ) -> None:
+    def __init__(self, maxsize: int = DEFAULT_SESSION_SIZE) -> None:
         if maxsize < 1:
             raise ValueError("session maxsize must be >= 1")
         self.maxsize = maxsize
-        self.result_maxsize = result_maxsize
         self._records: OrderedDict[str, SessionFnRecord] = OrderedDict()
         self._results: OrderedDict[tuple, SessionResult] = OrderedDict()
         #: Per-declaration replays served / live lowers recorded.
@@ -211,9 +206,6 @@ class CompileSession:
         self.aborts = 0
         #: Whole-compile replays (same text, same options).
         self.result_hits = 0
-        #: Parent compiles issued by :meth:`Compiler.compile_batch` to warm
-        #: the step's shared clean functions.
-        self.materializations = 0
         self.paranoid_checks = 0
         #: Front-end decl summaries interned across cache entries, keyed by
         #: ``(header digest tuple, decl digest)`` — see
@@ -250,11 +242,8 @@ class CompileSession:
     def store_result(self, key: tuple, memo: SessionResult) -> None:
         self._results[key] = memo
         self._results.move_to_end(key)
-        while len(self._results) > self.result_maxsize:
+        while len(self._results) > DEFAULT_RESULT_SIZE:
             self._results.popitem(last=False)
-
-    def has_result(self, options_key: str, text: str) -> bool:
-        return (options_key, source_digest(text)) in self._results
 
     # -- introspection -----------------------------------------------------
 
@@ -272,7 +261,6 @@ class CompileSession:
             "middle_session_result_hits": self.result_hits,
             "middle_session_hit_rate": self.hit_rate,
             "middle_session_size": len(self._records),
-            "middle_session_materializations": self.materializations,
             "middle_session_paranoid_checks": self.paranoid_checks,
             "middle_session_summary_hits": self.summary_hits,
             "decl_digest_memo_hits": self.digest_stats[

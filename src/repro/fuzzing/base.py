@@ -9,10 +9,14 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
+from repro.cast.cache import DEFAULT_CACHE_SIZE, FrontendCache
 from repro.compiler.driver import Compiler, CompileResult
 from repro.compiler.coverage import CoverageMap
 from repro.fuzzing.corpus import Corpus, ProgramEntry
 from repro.fuzzing.schedule import MUTATOR_STAT_KEYS
+from repro.muast.mutator import MutatorCrash, MutatorHang, apply_mutator
+from repro.muast.registry import MutatorInfo
+from repro.resilience.circuit import MutatorQuarantine
 from repro.telemetry import TelemetrySession
 
 
@@ -163,3 +167,67 @@ class CoverageGuidedFuzzer(Fuzzer):
             )
         )
         return True
+
+
+class MutationFuzzer(CoverageGuidedFuzzer):
+    """Coverage-guided fuzzing by applying μAST mutators to pool programs.
+
+    The part μCFuzz and the macro fuzzer share: the mutator set, the
+    front-end cache that mutators and compiles go through (``use_cache=
+    False`` runs without one), paranoid compiles and the per-mutator
+    circuit breaker.
+    """
+
+    def __init__(
+        self,
+        compiler: Compiler,
+        rng: random.Random,
+        seeds: list[str],
+        mutators: list[MutatorInfo],
+        *,
+        use_cache: bool = True,
+        cache_maxsize: int | None = None,
+        paranoid: bool = False,
+        quarantine: MutatorQuarantine | None = None,
+    ) -> None:
+        super().__init__(compiler, rng, seeds)
+        self.mutators = list(mutators)
+        if cache_maxsize is None:
+            cache_maxsize = DEFAULT_CACHE_SIZE
+        self.cache = FrontendCache(cache_maxsize) if use_cache else None
+        #: Cross-check every flat-native compile against a cold object-IR
+        #: one.
+        self.paranoid = paranoid
+        self.quarantine = quarantine
+        self.stats["mutator_failures"] = 0
+
+    def stats_snapshot(self) -> dict:
+        snap = super().stats_snapshot()
+        if self.cache is not None:
+            snap.update(self.cache.stats())
+        return snap
+
+    def _mutate(self, text: str, info: MutatorInfo) -> tuple[str, tuple] | None:
+        """The mutated text plus its edit script, or None on failure/no-op."""
+        mutator = info.create(random.Random(self.rng.randrange(1 << 62)))
+        try:
+            with self.telemetry.span("mutate", mutator=info.name):
+                outcome = apply_mutator(mutator, text, cache=self.cache)
+        except (MutatorCrash, MutatorHang, RecursionError) as exc:
+            self.stats["mutator_failures"] += 1
+            if self.quarantine is not None and self.quarantine.record_failure(
+                info.name, type(exc).__name__
+            ):
+                self.telemetry.emit(
+                    "quarantine", info.name, reason=type(exc).__name__
+                )
+            return None
+        if not outcome.changed:
+            # A no-op application is not a success: it must not reset the
+            # breaker's consecutive-failure streak, or a mutator that
+            # crashes intermittently but otherwise only no-ops would dodge
+            # quarantine forever.
+            return None
+        if self.quarantine is not None:
+            self.quarantine.record_success(info.name)
+        return outcome.mutant_text, outcome.edits

@@ -137,7 +137,7 @@ def make_fuzzer(
         if value is False:
             raise ValueError(
                 f"{knob}=False selects a deleted configuration: the warm "
-                "path always runs the compile session and batched steps"
+                "path always runs the compile session"
             )
     if flat_native is not None and flat_native != compiler.flat_native:
         raise ValueError(

@@ -15,19 +15,17 @@ from __future__ import annotations
 
 import random
 
-from repro.cast.cache import FrontendCache
 from repro.compiler.coverage import CoverageMap
 from repro.compiler.driver import Compiler, SAMPLABLE_FLAGS
-from repro.muast.mutator import MutatorCrash, MutatorHang, apply_mutator
 from repro.muast.registry import MutatorInfo
 from repro.resilience.circuit import MutatorQuarantine
-from repro.fuzzing.base import CoverageGuidedFuzzer, StepResult
+from repro.fuzzing.base import MutationFuzzer, StepResult
 
 MAX_MUTANT_BYTES = 64 * 1024  # resource limit (enhancement 4)
 MAX_HAVOC_ROUNDS = 5
 
 
-class MacroFuzzer(CoverageGuidedFuzzer):
+class MacroFuzzer(MutationFuzzer):
     """The bug-hunting fuzzer used for the eight-month field experiment."""
 
     name = "macro"
@@ -41,30 +39,20 @@ class MacroFuzzer(CoverageGuidedFuzzer):
         mutators: list[MutatorInfo],
         shared_coverage: CoverageMap | None = None,
         *,
-        cache: FrontendCache | None = None,
         use_cache: bool = True,
         cache_maxsize: int | None = None,
         paranoid: bool = False,
         quarantine: MutatorQuarantine | None = None,
     ) -> None:
-        super().__init__(compiler, rng, seeds)
-        self.mutators = list(mutators)
-        if shared_coverage is not None:
-            self.coverage = shared_coverage  # enhancement 3
         # Havoc re-front-ends the intermediate mutant of every round; the
         # shared cache makes rounds after the first nearly free.
-        if cache is not None:
-            self.cache = cache
-        elif use_cache:
-            self.cache = (
-                FrontendCache(maxsize=cache_maxsize)
-                if cache_maxsize is not None
-                else FrontendCache()
-            )
-        else:
-            self.cache = None
-        self.paranoid = paranoid
-        self.quarantine = quarantine
+        super().__init__(
+            compiler, rng, seeds, mutators, use_cache=use_cache,
+            cache_maxsize=cache_maxsize, paranoid=paranoid,
+            quarantine=quarantine,
+        )
+        if shared_coverage is not None:
+            self.coverage = shared_coverage  # enhancement 3
 
     def sample_options(self) -> tuple[int, tuple[str, ...]]:
         """Enhancement 1: random -O level plus a random flag subset."""
@@ -98,11 +86,7 @@ class MacroFuzzer(CoverageGuidedFuzzer):
                 mutant, last_edits = mutated
                 applied.append(info.name)
         opt_level, flags = self.sample_options()
-        edits_from = (
-            (base_text, last_edits)
-            if self.cache is not None and base_text is not None
-            else None
-        )
+        edits_from = (base_text, last_edits) if base_text is not None else None
         result = self.compiler.compile(
             mutant,
             opt_level=opt_level,
@@ -128,25 +112,3 @@ class MacroFuzzer(CoverageGuidedFuzzer):
                 ]
             }
         return step
-
-    def _mutate(self, text: str, info: MutatorInfo) -> tuple[str, tuple] | None:
-        """The mutated text plus its edit script, or None on failure/no-op."""
-        mutator = info.create(random.Random(self.rng.randrange(1 << 62)))
-        try:
-            with self.telemetry.span("mutate", mutator=info.name):
-                outcome = apply_mutator(mutator, text, cache=self.cache)
-        except (MutatorCrash, MutatorHang, RecursionError) as exc:
-            if self.quarantine is not None and self.quarantine.record_failure(
-                info.name, type(exc).__name__
-            ):
-                self.telemetry.emit(
-                    "quarantine", info.name, reason=type(exc).__name__
-                )
-            return None
-        if not outcome.changed:
-            # No-op applications are not successes: they must not reset the
-            # breaker's consecutive-failure streak (see MuCFuzz._mutate).
-            return None
-        if self.quarantine is not None:
-            self.quarantine.record_success(info.name)
-        return outcome.mutant_text, outcome.edits

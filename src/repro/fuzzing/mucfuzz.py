@@ -9,22 +9,20 @@ program, so the front end (lex/parse/sema) of the parent is computed once
 and shared through a :class:`~repro.cast.cache.FrontendCache`; the same
 cache backs ``Compiler.compile``'s dirty-region front end for mutants and
 no-op recompiles, and a :class:`~repro.compiler.session.CompileSession`
-replays the mutants' clean functions in the middle end.  A fuzzer is either
-warm (cache + session, the default) or cold (``use_cache=False``: neither);
-the two take identical steps.
+replays the mutants' clean functions in the middle end; each attempt is one
+compile.  A fuzzer is either warm (cache + session, the default) or cold
+(``use_cache=False``: neither); the two take identical steps.
 """
 
 from __future__ import annotations
 
 import random
 
-from repro.cast.cache import FrontendCache
 from repro.compiler.driver import Compiler
 from repro.compiler.session import CompileSession
-from repro.muast.mutator import MutatorCrash, MutatorHang, apply_mutator
 from repro.muast.registry import MutatorInfo
 from repro.resilience.circuit import MutatorQuarantine
-from repro.fuzzing.base import CoverageGuidedFuzzer, StepResult
+from repro.fuzzing.base import MutationFuzzer, StepResult
 from repro.fuzzing.schedule import MutatorScheduler, zero_mutator_stats
 
 #: How many mutators of the shuffled list one iteration may try before
@@ -32,7 +30,7 @@ from repro.fuzzing.schedule import MutatorScheduler, zero_mutator_stats
 MAX_TRIES_PER_ITERATION = 6
 
 
-class MuCFuzz(CoverageGuidedFuzzer):
+class MuCFuzz(MutationFuzzer):
     """μCFuzz.s / μCFuzz.u, depending on the mutator set it is given."""
 
     step_cost = 0.086  # ≈1M mutants / 24 h, matching GrayC-class throughput
@@ -45,7 +43,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
         mutators: list[MutatorInfo],
         name: str = "uCFuzz",
         *,
-        cache: FrontendCache | None = None,
         use_cache: bool = True,
         cache_maxsize: int | None = None,
         paranoid: bool = False,
@@ -54,8 +51,15 @@ class MuCFuzz(CoverageGuidedFuzzer):
         scheduler: MutatorScheduler | None = None,
         mutator_stats: bool | None = None,
     ) -> None:
-        super().__init__(compiler, rng, seeds)
-        self.mutators = list(mutators)
+        if scheduler is not None and quarantine is None:
+            # Population management (retirement) lives on the quarantine;
+            # threshold=None keeps the crash breaker itself disabled.
+            quarantine = MutatorQuarantine(threshold=None)
+        super().__init__(
+            compiler, rng, seeds, mutators, use_cache=use_cache,
+            cache_maxsize=cache_maxsize, paranoid=paranoid,
+            quarantine=quarantine,
+        )
         self.name = name
         # The middle end is the compiler's (``Compiler(flat_native=...)``);
         # a fuzzer only reads it.
@@ -64,16 +68,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
                 "a CompileSession serves flat-native compiles only; "
                 "flat_native=False is the object-IR reference"
             )
-        if cache is not None:
-            self.cache = cache
-        elif use_cache:
-            self.cache = (
-                FrontendCache(maxsize=cache_maxsize)
-                if cache_maxsize is not None
-                else FrontendCache()
-            )
-        else:
-            self.cache = None
         if session is not None and self.cache is None:
             raise ValueError(
                 "a CompileSession needs the front-end cache; "
@@ -86,9 +80,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
         if session is None and self.cache is not None and compiler.flat_native:
             session = CompileSession()
         self.session = session
-        #: Cross-check every compile off the reference path against a cold
-        #: object-IR one.
-        self.paranoid = paranoid
         #: Evolutionary outer loop: a seeded fitness-proportional bandit
         #: that reorders each step's mutator try-list from the per-mutator
         #: yield stats.  ``None`` (the default) keeps the paper's uniform
@@ -98,19 +89,7 @@ class MuCFuzz(CoverageGuidedFuzzer):
             mutator_stats = scheduler is not None
         elif not mutator_stats and scheduler is not None:
             raise ValueError("a MutatorScheduler requires mutator_stats")
-        if scheduler is not None and quarantine is None:
-            # Population management (retirement) lives on the quarantine;
-            # threshold=None keeps the crash breaker itself disabled.
-            quarantine = MutatorQuarantine(threshold=None)
-        self.quarantine = quarantine
-        self.stats.update(
-            {
-                "steps": 0,
-                "attempts": 0,
-                "mutator_failures": 0,
-                "unchanged": 0,
-            }
-        )
+        self.stats.update({"steps": 0, "attempts": 0, "unchanged": 0})
         if quarantine is not None:
             # Zero-filled up front: a cell that never skips still carries
             # the key, so grid merge_stats summaries are schema-uniform.
@@ -126,8 +105,6 @@ class MuCFuzz(CoverageGuidedFuzzer):
         if self.session is not None:
             self.stats.update(self.session.stats())
         snap = super().stats_snapshot()
-        if self.cache is not None:
-            snap.update(self.cache.stats())
         steps = snap.get("steps", 0)
         snap["attempts_per_step"] = snap["attempts"] / steps if steps else 0.0
         return snap
@@ -137,9 +114,10 @@ class MuCFuzz(CoverageGuidedFuzzer):
 
         The mutation attempts are generated lazily, so a mutator only
         consumes fuzzer randomness when the batch actually reaches it; the
-        first kept or crashing mutant ends the batch.  With a session,
-        ``compile_batch`` materializes the parent's record once up front, so
-        every attempt's clean functions replay from the session.
+        first kept or crashing mutant ends the batch.  Each attempt is one
+        compile (one more recompiles the parent when nothing mutated); with
+        a session, an attempt's clean functions replay from whatever the
+        session already holds.
         """
         self.stats["steps"] += 1
         cache_before = (
@@ -227,28 +205,3 @@ class MuCFuzz(CoverageGuidedFuzzer):
                     for event in self.quarantine.retirements[retired_before:]
                 ]
         return step
-
-    def _mutate(self, text: str, info: MutatorInfo) -> tuple[str, tuple] | None:
-        """The mutated text plus its edit script, or None on failure/no-op."""
-        mutator = info.create(random.Random(self.rng.randrange(1 << 62)))
-        try:
-            with self.telemetry.span("mutate", mutator=info.name):
-                outcome = apply_mutator(mutator, text, cache=self.cache)
-        except (MutatorCrash, MutatorHang, RecursionError) as exc:
-            self.stats["mutator_failures"] += 1
-            if self.quarantine is not None and self.quarantine.record_failure(
-                info.name, type(exc).__name__
-            ):
-                self.telemetry.emit(
-                    "quarantine", info.name, reason=type(exc).__name__
-                )
-            return None
-        if not outcome.changed:
-            # A no-op application is not a success: it must not reset the
-            # breaker's consecutive-failure streak, or a mutator that
-            # crashes intermittently but otherwise only no-ops would dodge
-            # quarantine forever.
-            return None
-        if self.quarantine is not None:
-            self.quarantine.record_success(info.name)
-        return outcome.mutant_text, outcome.edits

@@ -11,8 +11,8 @@ executed three ways in one process:
 * ``production`` — the warm path: flat-native with the front-end cache, the
   dirty-region front end and a persistent
   :class:`~repro.compiler.session.CompileSession` (cross-step middle-end
-  memoization) behind batched per-step compilation; the object IR is never
-  constructed on the hot path, gated by zero ``compiler.bridge`` decodes.
+  memoization); the object IR is never constructed on the hot path, gated
+  by zero ``compiler.bridge`` decodes.
 
 The steps/sec ratios, cache/session hit-rates, and per-stage timing
 breakdown are written to ``BENCH_throughput.json`` so successive PRs
@@ -133,8 +133,8 @@ def _time_run(fuzzer, steps: int) -> dict:
 
 
 #: The throughput arms, slowest path first: (label, use_cache, flat_native).
-#: The cached arm is the warm path: dirty-region front end, compile session
-#: and batched compilation.
+#: The cached arm is the warm path: dirty-region front end and compile
+#: session.
 ARMS = (
     ("reference", False, False),
     ("cache_off", False, True),
@@ -151,8 +151,8 @@ def measure_throughput(
     """Run the three :data:`ARMS`.
 
     All runs use the same RNG seed; neither the front-end cache, the
-    session, nor the flat IR consumes fuzzer randomness (the batched step
-    draws per attempt lazily), so they execute the identical step sequence
+    session, nor the flat IR consumes fuzzer randomness (a step draws per
+    attempt lazily), so they execute the identical step sequence
     and the comparison is apples-to-apples (also sanity-checked via final
     coverage and pool size, which must match exactly across all arms).
     """
@@ -279,7 +279,7 @@ def paranoid_main(argv: list[str] | None = None) -> int:
     """Differential smoke: every compile of the warm path is cross-checked.
 
     Runs μCFuzz with ``paranoid=True`` on the warm path — front-end cache,
-    dirty-region front end, compile session and batched compilation.  Each
+    dirty-region front end and compile session.  Each
     compile is recompiled cold on the object-IR reference and compared
     field-for-field; any divergence raises
     :class:`~repro.cast.incremental.IncrementalDivergence` and fails the

@@ -135,8 +135,15 @@ def test_object_reference_ignores_cache_and_session(programs):
     compiler = Compiler(*GCC_SIM, flat_native=False)
     result = compiler.compile(programs[0], cache=cache, session=session)
     assert result.ok
-    entry = cache.peek(programs[0])
-    assert entry is not None  # the front end still went through the cache
+    end, tail = len(programs[0]), "\nint extra_global = 3;\n"
+    mutated = compiler.compile(
+        programs[0] + tail, cache=cache,
+        edits_from=(programs[0], ((end, end, tail),)), session=session,
+    )
+    assert mutated.ok
+    # Always cold: the front end never goes through the cache.
+    assert cache.stats()["cache_size"] == 0
+    assert cache.hits == cache.misses == cache.incremental_hits == 0
     assert result.coverage.journal is None
     assert session.hits == session.misses == len(session) == 0
 
@@ -156,8 +163,11 @@ def test_paranoid_checks_cold_compiles(programs, monkeypatch):
     assert all(
         type(fn) is IRFunction for fn in reference.module.functions.values()
     )
-    # The object reference itself is the oracle: nothing to compare it with.
-    Compiler(*GCC_SIM, flat_native=False).compile(programs[1], paranoid=True)
+    # The object reference itself is the oracle: nothing to compare it with,
+    # whatever cache it is handed.
+    reference = Compiler(*GCC_SIM, flat_native=False)
+    reference.compile(programs[1], paranoid=True)
+    reference.compile(programs[1], cache=FrontendCache(), paranoid=True)
     assert len(calls) == 1
 
 

@@ -4,13 +4,17 @@ import random
 
 import pytest
 
+from repro.compiler import CLANG_SIM, GCC_SIM, Compiler
 from repro.compiler.coverage import CoverageMap
+from repro.fuzzing.base import MutationFuzzer
 from repro.fuzzing.baselines import AFLPlusPlus, CsmithSim, GrayCSim, YarpGenSim
 from repro.fuzzing.campaign import make_fuzzer, run_campaign
 from repro.fuzzing.corpus import Corpus, ProgramEntry
 from repro.fuzzing.crash import CrashLog
 from repro.fuzzing.macro import MacroFuzzer
 from repro.fuzzing.mucfuzz import MuCFuzz
+from repro.muast.mutator import Mutator, MutatorCrash
+from repro.muast.registry import MutatorInfo
 
 
 class TestCorpus:
@@ -118,6 +122,86 @@ class TestMacroFuzzer:
                 stacked = True
                 break
         assert stacked
+
+    @pytest.mark.parametrize(
+        "personality", [GCC_SIM, CLANG_SIM], ids=["gcc", "clang"]
+    )
+    def test_warm_equals_cold_step_for_step(
+        self, personality, registry, small_seeds
+    ):
+        """The cached Havoc path (dirty-region front end on the last
+        intermediate mutant) changes no observable result."""
+        warm = MacroFuzzer(
+            Compiler(*personality), random.Random(21), small_seeds[:6],
+            list(registry),
+        )
+        cold = MacroFuzzer(
+            Compiler(*personality), random.Random(21), small_seeds[:6],
+            list(registry), use_cache=False,
+        )
+        assert warm.cache is not None and cold.cache is None
+        for _ in range(40):
+            a, b = warm.step(), cold.step()
+            assert a.program == b.program
+            assert a.kept == b.kept
+            assert a.mutator == b.mutator
+            assert a.result.asm == b.result.asm
+            assert a.result.coverage.edges == b.result.coverage.edges
+        assert warm.coverage.edges == cold.coverage.edges
+        assert warm.cache.incremental_hits > 0
+
+    @pytest.mark.parametrize(
+        "personality", [GCC_SIM, CLANG_SIM], ids=["gcc", "clang"]
+    )
+    def test_paranoid_steps(self, personality, registry, small_seeds):
+        fuzzer = MacroFuzzer(
+            Compiler(*personality), random.Random(22), small_seeds[:6],
+            list(registry), paranoid=True,
+        )
+        for _ in range(40):
+            fuzzer.step()  # IncrementalDivergence would propagate
+        assert fuzzer.cache.paranoid_checks > 0
+
+
+class TestMutationBase:
+    """μCFuzz and the macro fuzzer share one mutation base."""
+
+    @pytest.mark.parametrize("cls", [MuCFuzz, MacroFuzzer])
+    def test_fuzzers_share_the_mutation_base(
+        self, cls, gcc, registry, small_seeds
+    ):
+        assert issubclass(cls, MutationFuzzer)
+        assert "_mutate" not in vars(cls)
+        fuzzer = cls(
+            gcc, random.Random(4), small_seeds[:4], list(registry),
+            cache_maxsize=7,
+        )
+        assert fuzzer.cache.maxsize == 7
+        for _ in range(5):
+            fuzzer.step()
+        stats = fuzzer.stats_snapshot()
+        assert stats["cache_misses"] == fuzzer.cache.misses > 0
+        assert "mutator_failures" in stats
+        cold = cls(
+            gcc, random.Random(4), small_seeds[:4], list(registry),
+            use_cache=False,
+        )
+        assert cold.cache is None
+        assert not any(key.startswith("cache_") for key in cold.stats_snapshot())
+
+    @pytest.mark.parametrize("cls", [MuCFuzz, MacroFuzzer])
+    def test_mutator_failures_counted(self, cls, gcc, small_seeds):
+        class AlwaysCrash(Mutator):
+            def mutate(self) -> bool:
+                raise MutatorCrash("synthetic crash")
+
+        info = MutatorInfo(
+            name="AlwaysCrash", description="This mutator always crashes.",
+            cls=AlwaysCrash, category="Statement", origin="unsupervised",
+        )
+        fuzzer = cls(gcc, random.Random(5), small_seeds[:2], [info])
+        fuzzer.step()
+        assert fuzzer.stats_snapshot()["mutator_failures"] > 0
 
 
 class TestCrashLog:

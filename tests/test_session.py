@@ -35,6 +35,18 @@ from repro.muast.registry import global_registry
 from tests.helpers import fuzzing_observable
 
 
+#: Crashes gcc-sim at -O2 (``gcc-strlen-verify-range``, §5.2).
+_STRLEN_CRASHER = """
+const volatile static char buffer[32];
+int test4(void) { return sprintf(buffer, "%s", buffer); }
+void main_test(void) {
+  memset(buffer, 'A', 32);
+  if (test4() != 3) abort();
+}
+int main(void) { main_test(); return 0; }
+"""
+
+
 def _lower(text, irgen=IRGen):
     unit = parse(text)
     sema = Sema()
@@ -196,16 +208,6 @@ class TestCompileBatch:
         for result, mutant in zip(batched, mutants):
             assert_results_equal(result, cold.compile(mutant))
 
-    def test_batch_materializes_parent_once(self, small_seeds):
-        parent = small_seeds[5]
-        requests = [
-            (_mutate_body(parent), (parent, ((0, 0, ""),))),
-            (parent.replace("int", "long", 1), (parent, ((0, 0, ""),))),
-        ]
-        session = CompileSession()
-        Compiler(*GCC_SIM).compile_batch(requests, session=session)
-        assert session.materializations == 1
-
     def test_batch_until_early_exit_is_lazy(self, small_seeds):
         parent = small_seeds[6]
         consumed = []
@@ -223,6 +225,57 @@ class TestCompileBatch:
         )
         assert len(results) == 1
         assert consumed == [0]  # the second request was never generated
+
+    def test_step_compiles_once_per_attempt(
+        self, registry, small_seeds, monkeypatch
+    ):
+        """A μCFuzz step compiles each mutant attempt once and nothing else.
+
+        The pool holds a parent that crashes gcc-sim at -O2, so the session
+        never stores its result; the step still compiles only its attempts.
+        """
+        crasher = _STRLEN_CRASHER
+        assert Compiler(*GCC_SIM).compile(crasher).crashed
+        calls = []
+        compile_ = Compiler.compile
+
+        def counting(self, text, *args, **kwargs):
+            calls.append(text)
+            return compile_(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(Compiler, "compile", counting)
+        fuzzer = MuCFuzz(
+            Compiler(*GCC_SIM), random.Random(1), [crasher, small_seeds[0]],
+            registry.supervised(),
+        )
+        parents = []
+        choose = fuzzer.pool.random_choice
+
+        def recording_choice(rng):
+            entry = choose(rng)
+            parents.append(entry.text)
+            return entry
+
+        fuzzer.pool.random_choice = recording_choice
+        for _ in range(20):
+            attempts = fuzzer.stats["attempts"]
+            unchanged = fuzzer.stats["unchanged"]
+            calls.clear()
+            fuzzer.step()
+            compiled = (fuzzer.stats["attempts"] - attempts) - (
+                fuzzer.stats["unchanged"] - unchanged
+            )
+            assert len(calls) == max(compiled, 1)
+            if compiled == 0:
+                assert calls == [parents[-1]]
+        assert parents.count(crasher) >= 2
+
+        # A round with nothing to mutate recompiles the parent, once.
+        idle = MuCFuzz(Compiler(*GCC_SIM), random.Random(5), [crasher], [])
+        calls.clear()
+        step = idle.step()
+        assert calls == [crasher]
+        assert step.mutator is None and step.result.crashed
 
 
 class TestSessionFuzzing:
@@ -243,11 +296,22 @@ class TestSessionFuzzing:
         reference = run_campaign(
             MuCFuzz(
                 Compiler(*GCC_SIM, flat_native=False), random.Random(7),
-                seeds, registry.supervised(),
+                seeds, registry.supervised(), use_cache=False,
             ),
             steps=25,
         )
-        assert fuzzing_observable(with_session) == fuzzing_observable(reference)
+
+        def observable(result):
+            # The from-scratch reference has no front-end cache to count.
+            payload = fuzzing_observable(result)
+            payload["stats"] = {
+                key: value
+                for key, value in payload["stats"].items()
+                if not key.startswith("cache_")
+            }
+            return payload
+
+        assert observable(with_session) == observable(reference)
         assert with_session.stats["middle_session_hits"] > 0
 
     def test_same_campaign_twice_through_one_session(self, registry, small_seeds):
