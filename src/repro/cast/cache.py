@@ -17,7 +17,10 @@ matches the key it was stored under.
 
 Consumers attach derived, per-entry artifacts (memoized coverage edge sets,
 feature vectors, mutation contexts) to ``FrontendEntry.memo`` so higher
-layers can cache without this module importing them.
+layers can cache without this module importing them.  Per-declaration
+artifacts (content digests, front-end summaries) are memoized on the decl
+nodes instead: the dirty-region front end reuses clean decl nodes, so those
+memos carry over to every mutant that keeps the decl, by content alone.
 """
 
 from __future__ import annotations
@@ -30,11 +33,7 @@ from typing import Any
 from repro.telemetry.spans import Tracer, span
 
 from repro.cast import ast_nodes as ast
-from repro.cast.incremental import (
-    IncrementalPlan,
-    assert_entries_equal,
-    incremental_front_end,
-)
+from repro.cast.incremental import assert_entries_equal, incremental_front_end
 from repro.cast.lexer import Lexer, LexError, Token
 from repro.cast.parser import ParseError, Parser
 from repro.cast.sema import Diagnostic, Sema
@@ -137,11 +136,7 @@ def analyze_front_end(
     )
 
 
-def decl_digests(
-    entry: FrontendEntry,
-    plan: "IncrementalPlan | None" = None,
-    memo_stats: dict | None = None,
-) -> tuple:
+def decl_digests(entry: FrontendEntry) -> tuple:
     """Per-declaration content digests for cross-compile artifact interning.
 
     Returns ``(full_digests, header_digests)``, one entry per top-level decl:
@@ -149,54 +144,30 @@ def decl_digests(
     ``header_digests[i]`` hashes only the text *before* the body for function
     definitions (the part other decls can observe — signature, name, types)
     and the full text otherwise.  The compile session keys middle-end records
-    on these.  Memoized on ``entry.memo``; with an incremental ``plan``,
-    unchanged decls copy their parent's digests instead of re-hashing
-    (decl text is offset-shift invariant under the dirty-region front end).
+    on these.
 
-    Each decl node additionally carries its digest pair as ``_digest_memo``:
-    a node grafted into a child entry keeps the attribute even when the
-    parent's entry-level memo is gone (evicted, or the parent was never
-    digested), so re-hashing is content-keyed at node granularity too.  The
-    attribute is sound because grafting only reuses a node when its source
-    text is unchanged up to an offset shift.  ``memo_stats``, when given,
-    has its ``"decl_digest_memo_hits"`` entry bumped per node-memo hit.
+    Each decl node memoizes its digest pair as ``_digest_memo``.  The
+    dirty-region front end shares or clones clean decl nodes into the
+    mutant's unit, memo included, so only dirty decls are hashed.  The memo
+    is sound because a node is only reused when its source text is
+    unchanged up to an offset shift.
     """
-    cached = entry.memo.get("decl_digests")
-    if cached is not None:
-        return cached
-    parent = (
-        plan.parent.memo.get("decl_digests") if plan is not None else None
-    )
     text = entry.source.text
     full: list[str] = []
     header: list[str] = []
-    for i, decl in enumerate(entry.unit.decls):
-        parent_index = plan.decl_map[i] if parent is not None else None
-        if parent_index is not None:
-            full.append(parent[0][parent_index])
-            header.append(parent[1][parent_index])
-            decl._digest_memo = (full[-1], header[-1])
-            continue
+    for decl in entry.unit.decls:
         memo = decl.__dict__.get("_digest_memo")
-        if memo is not None:
-            if memo_stats is not None:
-                memo_stats["decl_digest_memo_hits"] = (
-                    memo_stats.get("decl_digest_memo_hits", 0) + 1
-                )
-            full.append(memo[0])
-            header.append(memo[1])
-            continue
-        lo, hi = decl.range.begin.offset, decl.range.end.offset
-        digest = source_digest(text[lo:hi])
-        if isinstance(decl, ast.FunctionDecl) and decl.body is not None:
-            header.append(source_digest(text[lo : decl.body.range.begin.offset]))
-        else:
-            header.append(digest)
-        full.append(digest)
-        decl._digest_memo = (digest, header[-1])
-    cached = (tuple(full), tuple(header))
-    entry.memo["decl_digests"] = cached
-    return cached
+        if memo is None:
+            lo, hi = decl.range.begin.offset, decl.range.end.offset
+            digest = source_digest(text[lo:hi])
+            if isinstance(decl, ast.FunctionDecl) and decl.body is not None:
+                head = source_digest(text[lo : decl.body.range.begin.offset])
+            else:
+                head = digest
+            memo = decl._digest_memo = (digest, head)
+        full.append(memo[0])
+        header.append(memo[1])
+    return tuple(full), tuple(header)
 
 
 class FrontendCache:
@@ -262,42 +233,40 @@ class FrontendCache:
         *,
         paranoid: bool = False,
         tracer: "Tracer | None" = None,
-    ) -> "tuple[FrontendEntry, IncrementalPlan | None]":
+    ) -> FrontendEntry:
         """Front-end a mutant, reusing ``parent``'s entry where possible.
 
         ``edits`` is the mutant's :meth:`Rewriter.edit_script` in parent
-        coordinates.  Returns the entry plus the :class:`IncrementalPlan`
-        describing which decls were reused (``None`` on a plain cache hit or
-        when the full front end ran).  With ``paranoid=True`` every
-        incremental result is cross-checked against a full re-front-ending
-        and :class:`IncrementalDivergence` raised on any mismatch.
+        coordinates.  With ``paranoid=True`` every incremental result is
+        cross-checked against a full re-front-ending and
+        :class:`IncrementalDivergence` raised on any mismatch.
         """
         key = source_digest(text)
         entry = self._lookup(key)
         if entry is not None:
             self.hits += 1
-            return entry, None
+            return entry
         self.misses += 1
-        built = None
+        fields = None
         if parent is not None and edits:
             with span(tracer, "frontend_incremental"):
                 try:
-                    built = incremental_front_end(text, parent, edits)
+                    fields = incremental_front_end(text, parent, edits)
                 except RecursionError:
-                    built = None
-        if built is None:
+                    fields = None
+        if fields is None:
             self.incremental_fallbacks += 1
             entry = analyze_front_end(text, source_hash=key, tracer=tracer)
-            self._store(key, entry)
-            return entry, None
-        fields, plan = built
-        entry = FrontendEntry(source_hash=key, **fields)
-        self.incremental_hits += 1
-        if paranoid:
-            self.paranoid_checks += 1
-            assert_entries_equal(entry, analyze_front_end(text, source_hash=key))
+        else:
+            entry = FrontendEntry(source_hash=key, **fields)
+            self.incremental_hits += 1
+            if paranoid:
+                self.paranoid_checks += 1
+                assert_entries_equal(
+                    entry, analyze_front_end(text, source_hash=key)
+                )
         self._store(key, entry)
-        return entry, plan
+        return entry
 
     # -- introspection -----------------------------------------------------
 

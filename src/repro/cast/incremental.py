@@ -22,7 +22,10 @@ parent's instead of re-running the full front end:
 4. **AST grafting** — prefix decls are *shared* with the parent unit (their
    re-analysis is idempotent); suffix decls are cloned with all source
    ranges shifted by the delta, and ``DeclRefExpr.decl`` pointers into the
-   dirty region are remapped onto the freshly parsed decls.
+   dirty region are remapped onto the freshly parsed decls.  Shared and
+   cloned decl nodes keep their memo attributes (:data:`_MEMO_ATTRS`), so a
+   clean decl's digest and front-end summary are reused by content, with no
+   map from mutant decls back to the parent's.
 5. **Scoped Sema** — dirty decls run real semantic analysis; clean
    ``FunctionDecl`` bodies are skipped by replaying the parent's recorded
    per-decl diagnostics and cross-declaration effect log
@@ -39,7 +42,6 @@ the full front end by construction, and ``paranoid`` mode
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any
 
 from repro.cast import ast_nodes as ast
@@ -56,24 +58,6 @@ EditScript = tuple[tuple[int, int, str], ...]
 
 class IncrementalDivergence(AssertionError):
     """Paranoid mode: an incremental result differs from the full pipeline."""
-
-
-@dataclass(frozen=True)
-class IncrementalPlan:
-    """What the incremental front end reused, for the middle end to consume.
-
-    ``decl_map[i]`` is the parent decl index the mutant's ``unit.decls[i]``
-    corresponds to (its analysis was reused), or ``None`` when the decl lies
-    in the dirty region and was freshly parsed/analyzed.
-    """
-
-    parent: Any  # FrontendEntry (duck-typed; cache.py imports this module)
-    decl_map: tuple["int | None", ...]
-    delta: int
-
-    @property
-    def dirty_indices(self) -> tuple[int, ...]:
-        return tuple(i for i, m in enumerate(self.decl_map) if m is None)
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +121,12 @@ def _group_for_edit(spans: list[tuple[int, int]], eb: int, ee: int) -> int:
 
 def incremental_front_end(
     text: str, parent: Any, edits: EditScript
-) -> "tuple[dict, IncrementalPlan | None] | None":
+) -> dict | None:
     """Front-end ``text`` (the mutant) by reusing ``parent``'s entry.
 
-    Returns ``(fields, plan)`` where ``fields`` holds the
-    ``FrontendEntry`` constructor arguments (minus ``source_hash``), or
-    ``None`` when ineligible — the caller then runs the full front end.
-    ``plan`` is ``None`` when the mutant failed to parse (no reuse downstream).
+    Returns the ``FrontendEntry`` constructor arguments (minus
+    ``source_hash``), or ``None`` when ineligible — the caller then runs the
+    full front end.
     """
     if parent is None or not edits:
         return None
@@ -257,18 +240,15 @@ def incremental_front_end(
         # A fresh full parse reaches the region with identical parser state
         # (journal replay) and fails identically; short-circuit to the same
         # failed entry the full front end would produce.
-        return (
-            dict(
-                source=msource,
-                token_prefix=tokens,
-                lex_error=None,
-                unit=None,
-                parse_error=str(exc),
-                parse_recursion=False,
-                sema=None,
-                sema_diags=[],
-            ),
-            None,
+        return dict(
+            source=msource,
+            token_prefix=tokens,
+            lex_error=None,
+            unit=None,
+            parse_error=str(exc),
+            parse_recursion=False,
+            sema=None,
+            sema_diags=[],
         )
     except RecursionError:
         return None
@@ -305,7 +285,6 @@ def incremental_front_end(
 
     sema = Sema()
     new_decls: list[ast.Decl] = []
-    decl_map: list[int | None] = []
 
     def run_real(decl: ast.Decl) -> None:
         sema._visit_top_level(decl)
@@ -336,7 +315,6 @@ def incremental_front_end(
     # idempotent on shared nodes) and the freshly parsed dirty region.
     for i, decl in enumerate(prefix_decls):
         new_decls.append(decl)
-        decl_map.append(i)
         if isinstance(decl, ast.FunctionDecl) and "_sema_ftype" in decl.__dict__:
             run_replay(decl, i, 0)
         else:
@@ -344,7 +322,6 @@ def incremental_front_end(
     effects_before_region = len(sema._effect_log)
     for decl in region_decls:
         new_decls.append(decl)
-        decl_map.append(None)
         run_real(decl)
 
     if has_suffix:
@@ -375,7 +352,6 @@ def incremental_front_end(
         clone = _clone_shifted(pdecl, delta, remap)
         new_decls.append(clone)
         pidx = n_prefix_decls + n_dirty_decls + j
-        decl_map.append(pidx)
         if isinstance(clone, ast.FunctionDecl) and "_sema_ftype" in clone.__dict__:
             run_replay(clone, pidx, delta)
         else:
@@ -408,21 +384,15 @@ def incremental_front_end(
         tuple(journal[:jm_prefix]) + tuple(parser._journal) + tuple(journal[jm_hi:])
     )
 
-    plan = IncrementalPlan(
-        parent=parent, decl_map=tuple(decl_map), delta=delta
-    )
-    return (
-        dict(
-            source=msource,
-            token_prefix=tokens,
-            lex_error=None,
-            unit=unit,
-            parse_error=None,
-            parse_recursion=False,
-            sema=sema,
-            sema_diags=sema.diagnostics,
-        ),
-        plan,
+    return dict(
+        source=msource,
+        token_prefix=tokens,
+        lex_error=None,
+        unit=unit,
+        parse_error=None,
+        parse_recursion=False,
+        sema=sema,
+        sema_diags=sema.diagnostics,
     )
 
 
@@ -453,7 +423,9 @@ def _diag_key(diags: list[Diagnostic]) -> list[tuple]:
 
 #: Node attributes that cache derived data rather than structure: a node
 #: that carries one is still structurally equal to a node that doesn't.
-_MEMO_ATTRS = frozenset({"_digest_memo"})
+#: ``_digest_memo`` is set by :func:`repro.cast.cache.decl_digests`,
+#: ``_summary_memo`` by :func:`repro.compiler.driver._decl_summaries`.
+_MEMO_ATTRS = frozenset({"_digest_memo", "_summary_memo"})
 
 
 def ast_equal(a: ast.Node, b: ast.Node) -> bool:
@@ -462,8 +434,8 @@ def ast_equal(a: ast.Node, b: ast.Node) -> bool:
     ``DeclRefExpr.decl`` pointers are compared by positional correspondence
     (pre-order registration), so a grafted unit sharing subtrees with its
     parent compares equal to an independently parsed one.  Memo attributes
-    (:data:`_MEMO_ATTRS`) are ignored: digest caching must not make a
-    grafted unit compare unequal to a fresh parse.
+    (:data:`_MEMO_ATTRS`) are ignored: digest and summary caching must not
+    make a grafted unit compare unequal to a fresh parse.
     """
     pairs: dict[int, ast.Node] = {}
 

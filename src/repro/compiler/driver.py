@@ -13,12 +13,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 from repro.cast import ast_nodes as ast
-from repro.cast.cache import (
-    FrontendCache,
-    FrontendEntry,
-    analyze_front_end,
-    decl_digests,
-)
+from repro.cast.cache import FrontendCache, FrontendEntry, analyze_front_end
 from repro.cast.incremental import IncrementalDivergence
 from repro.compiler import features as feat
 from repro.compiler.bugs import BugRegistry
@@ -28,7 +23,7 @@ from repro.compiler.flatir import BridgeCounters
 from repro.compiler.ir import IRModule
 from repro.compiler.middle import PlainRun, run_middle
 from repro.compiler.session import CompileSession, lower_and_optimize_session
-from repro.telemetry.spans import Tracer
+from repro.telemetry.spans import Tracer, span
 
 
 @dataclass
@@ -244,14 +239,13 @@ class Compiler:
         # is deterministic, so cache hits replay identical bookkeeping into
         # this call's CoverageMap/CompileResult; bug checks stay per-call
         # because they depend on opt_level/flags.
-        plan = None
         if cache is None:
             entry = analyze_front_end(source_text, tracer=self.tracer)
         elif edits_from is not None:
             parent_text, edits = edits_from
             parent_entry = cache.peek(parent_text) if edits else None
             if parent_entry is not None:
-                entry, plan = cache.front_end_incremental(
+                entry = cache.front_end_incremental(
                     source_text, parent_entry, edits,
                     paranoid=paranoid, tracer=self.tracer,
                 )
@@ -259,7 +253,8 @@ class Compiler:
                 entry = cache.front_end(source_text, tracer=self.tracer)
         else:
             entry = cache.front_end(source_text, tracer=self.tracer)
-        summary = _frontend_summary(entry, plan, session)
+        with span(self.tracer, "frontend_summary"):
+            summary = _frontend_summary(entry)
         cov.merge(summary.edges)
         features.update(summary.features)
         result.diagnostics.extend(summary.diagnostics)
@@ -274,7 +269,7 @@ class Compiler:
         if session is not None:
             lower_and_optimize_session(
                 self, session, entry, opt_level, flags, cov, features,
-                result, plan=plan, stages=stages,
+                result, stages=stages,
             )
         else:
             run_middle(
@@ -346,19 +341,14 @@ class _FrontendSummary:
     diagnostics: tuple[str, ...]
 
 
-def _frontend_summary(
-    entry: FrontendEntry, plan=None, session=None
-) -> _FrontendSummary:
+def _frontend_summary(entry: FrontendEntry) -> _FrontendSummary:
     """Coverage edges, features, and diagnostics for one front-end result.
 
     Deterministic per source text, so it is memoized on the cache entry; the
     caller merges it into per-call state.  The summary dict/edge set are
-    treated as immutable after construction.  With an incremental ``plan``,
-    the per-declaration AST work (coverage walk + feature extraction) is
-    grafted from the parent entry for every unchanged declaration.  With a
-    ``session``, per-decl summaries are additionally interned across entries
-    by content digest, so a decl shared between unrelated lineages is only
-    walked once per session.
+    treated as immutable after construction.  The per-declaration AST work
+    (coverage walk + feature extraction) is memoized on each decl node, so
+    a decl the dirty-region front end reused is not walked again.
     """
     summary = entry.memo.get("driver_summary")
     if summary is not None:
@@ -389,7 +379,7 @@ def _frontend_summary(
                 diagnostics.append(d.message)
         if diagnostics:
             features["sema_failed"] = 1
-        decl_summaries = _decl_summaries(entry, plan, session)
+        decl_summaries = _decl_summaries(entry)
         features.update(
             feat.merge_ast_features(f for _, f in decl_summaries)
         )
@@ -403,50 +393,21 @@ def _frontend_summary(
     return summary
 
 
-def _decl_summaries(entry: FrontendEntry, plan, session=None) -> list:
-    """Per-decl (coverage edges, feature vector) pairs, grafted when clean.
+def _decl_summaries(entry: FrontendEntry) -> list:
+    """Per-decl (coverage edges, feature vector) pairs, memoized per node.
 
-    Both halves are pure over the decl subtree (offset-shift invariant), so
-    an unchanged declaration reuses its parent's pair; only the dirty decls
-    are walked.  Memoized on the entry for this text's future compiles.
-    With a ``session``, freshly-walked pairs are also interned in the
-    session's summary store keyed by ``(header digests, decl digest)`` — the
-    header tuple pins the declaration environment (typedefs change how a
-    decl's text parses), the decl digest pins its own text — so a decl
-    reappearing in an unrelated lineage replays instead of re-walking.
+    Both halves are pure over the decl subtree (offset-shift invariant), and
+    the dirty-region front end only reuses a decl node whose text and
+    semantic environment are unchanged, so each node keeps its pair as
+    ``_summary_memo``: a clean decl shared or cloned into a mutant's unit
+    is not walked again, and only the dirty decls are.
     """
-    cached = entry.memo.get("decl_summaries")
-    if cached is not None:
-        return cached
-    parent_sums = (
-        plan.parent.memo.get("decl_summaries") if plan is not None else None
-    )
-    intern = session.summary_intern if session is not None else None
-    if intern is not None:
-        full_digests, header_digests = decl_digests(
-            entry, plan, memo_stats=session.digest_stats
-        )
     summaries = []
-    for i, decl in enumerate(entry.unit.decls):
-        parent_index = plan.decl_map[i] if parent_sums is not None else None
-        if parent_index is not None:
-            summaries.append(parent_sums[parent_index])
-            continue
-        if intern is None:
-            summaries.append(_decl_summary(decl, entry.source.text))
-            continue
-        ikey = (header_digests, full_digests[i])
-        pair = intern.get(ikey)
-        if pair is not None:
-            intern.move_to_end(ikey)
-            session.summary_hits += 1
-        else:
-            pair = _decl_summary(decl, entry.source.text)
-            intern[ikey] = pair
-            while len(intern) > session.maxsize:
-                intern.popitem(last=False)
+    for decl in entry.unit.decls:
+        pair = decl.__dict__.get("_summary_memo")
+        if pair is None:
+            pair = decl._summary_memo = _decl_summary(decl, entry.source.text)
         summaries.append(pair)
-    entry.memo["decl_summaries"] = summaries
     return summaries
 
 

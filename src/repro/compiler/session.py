@@ -9,7 +9,12 @@ key** that captures everything the function's middle-end run can observe.
 Any mutant whose function hashes to a known key skips irgen, the optimizer,
 and the backend for that function entirely — regardless of which program
 the record was made in.  It is the only replay engine: a compile without a
-session runs the plain pipeline of :mod:`repro.compiler.middle`.
+session runs the plain pipeline of :mod:`repro.compiler.middle`.  Reuse is
+by content alone: the session takes no parent lineage from the front end,
+holds no whole-compile memo (a recompile of the same text replays its
+per-declaration records), and keeps only middle-end state — front-end
+summaries are memoized on the decl nodes (see
+:func:`repro.compiler.driver._decl_summaries`).
 
 The key must cover all cross-declaration state the middle end reads:
 
@@ -74,8 +79,6 @@ from repro.telemetry.spans import span
 #: working set is (pool size × functions per program) plus mutant churn;
 #: 4096 holds the whole 600-step bench without evictions.
 DEFAULT_SESSION_SIZE = 4096
-#: Default bound on whole-result memos (same-text recompiles).
-DEFAULT_RESULT_SIZE = 2048
 
 
 class _MiddleAbort(Exception):
@@ -176,19 +179,6 @@ class SessionFnRecord:
     snapshot: "FunctionSnapshot | None" = None
 
 
-@dataclass(frozen=True)
-class SessionResult:
-    """The complete observable outcome of one non-crashing compile."""
-
-    ok: bool
-    diagnostics: tuple
-    asm: str
-    module: IRModule | None
-    features: dict
-    edges: frozenset
-    stages: tuple
-
-
 class CompileSession:
     """A persistent cross-step store of interned middle-end artifacts."""
 
@@ -197,24 +187,13 @@ class CompileSession:
             raise ValueError("session maxsize must be >= 1")
         self.maxsize = maxsize
         self._records: OrderedDict[str, SessionFnRecord] = OrderedDict()
-        self._results: OrderedDict[tuple, SessionResult] = OrderedDict()
         #: Per-declaration replays served / live lowers recorded.
         self.hits = 0
         self.misses = 0
         self.evictions = 0
         #: Reuse attempts that fell back to a fully live run.
         self.aborts = 0
-        #: Whole-compile replays (same text, same options).
-        self.result_hits = 0
         self.paranoid_checks = 0
-        #: Front-end decl summaries interned across cache entries, keyed by
-        #: ``(header digest tuple, decl digest)`` — see
-        #: :func:`repro.compiler.driver._decl_summaries`.
-        self.summary_intern: OrderedDict[tuple, tuple] = OrderedDict()
-        self.summary_hits = 0
-        #: Mutable sink for :func:`repro.cast.cache.decl_digests` node-memo
-        #: hit counting; merged into :meth:`stats`.
-        self.digest_stats: dict = {"decl_digest_memo_hits": 0}
 
     # -- record store ------------------------------------------------------
 
@@ -231,20 +210,6 @@ class CompileSession:
             self._records.popitem(last=False)
             self.evictions += 1
 
-    # -- whole-result memo -------------------------------------------------
-
-    def result_for(self, key: tuple) -> SessionResult | None:
-        memo = self._results.get(key)
-        if memo is not None:
-            self._results.move_to_end(key)
-        return memo
-
-    def store_result(self, key: tuple, memo: SessionResult) -> None:
-        self._results[key] = memo
-        self._results.move_to_end(key)
-        while len(self._results) > DEFAULT_RESULT_SIZE:
-            self._results.popitem(last=False)
-
     # -- introspection -----------------------------------------------------
 
     @property
@@ -258,14 +223,9 @@ class CompileSession:
             "middle_session_misses": self.misses,
             "middle_session_evictions": self.evictions,
             "middle_session_aborts": self.aborts,
-            "middle_session_result_hits": self.result_hits,
             "middle_session_hit_rate": self.hit_rate,
             "middle_session_size": len(self._records),
             "middle_session_paranoid_checks": self.paranoid_checks,
-            "middle_session_summary_hits": self.summary_hits,
-            "decl_digest_memo_hits": self.digest_stats[
-                "decl_digest_memo_hits"
-            ],
         }
 
     def __len__(self) -> int:
@@ -310,7 +270,6 @@ class _SessionRun:
         cov,
         features: dict,
         journal: list,
-        plan,
         reuse: bool,
     ) -> None:
         self.compiler = compiler
@@ -322,7 +281,6 @@ class _SessionRun:
         self.cov = cov
         self.features = features
         self.journal = journal
-        self.plan = plan
         self.reuse = reuse
         #: decl index -> reused record; fn name -> record for fn records.
         self.reused: dict[int, SessionFnRecord] = {}
@@ -371,9 +329,7 @@ class _SessionRun:
         irgen = irgen_for(self.compiler, self.entry, self.cov)
         irgen._collect_enums(self.unit)
         enum_digest = _digest(tuple(irgen._enum_values.items()))
-        full_digests, header_digests = decl_digests(
-            self.entry, self.plan, memo_stats=self.session.digest_stats
-        )
+        full_digests, header_digests = decl_digests(self.entry)
         options = middle_memo_key(
             self.compiler.name, self.compiler.bug_seed, self.opt_level,
             tuple(self.flags),
@@ -566,33 +522,23 @@ def lower_and_optimize_session(
     features: dict,
     result,
     *,
-    plan=None,
     stages: list,
 ) -> None:
     """The session-backed middle end + back end of ``Compiler.compile``.
 
     Runs when the compile carries a :class:`CompileSession`: per-function
     reuse is keyed on content, not parent lineage, so it fires across
-    steps, across pool members, and on mutants of mutants.  A reuse
-    inconsistency aborts to a fully live run that re-records every
-    declaration.  Live work records its events into a coverage journal
-    attached to ``cov`` here; session-less compiles never journal.
+    steps, across pool members, on mutants of mutants and on a recompile
+    of the same text.  A reuse inconsistency aborts to a fully live run
+    that re-records every declaration.  Live work records its events into
+    a coverage journal attached to ``cov`` here; session-less compiles
+    never journal.
     """
-    options = middle_memo_key(
-        compiler.name, compiler.bug_seed, opt_level, tuple(flags)
-    )
-    result_key = (options, entry.source_hash)
     journal = cov.journal = []
-    with span(compiler.tracer, "session"):
-        memo = session.result_for(result_key)
-    if memo is not None:
-        session.result_hits += 1
-        _replay_session_result(memo, cov, features, result, stages)
-        return
     try:
         _run_session(
             compiler, session, entry, opt_level, flags, cov, features,
-            result, journal, plan, stages, result_key, reuse=True,
+            result, journal, stages, reuse=True,
         )
     except _MiddleAbort:
         session.aborts += 1
@@ -603,60 +549,22 @@ def lower_and_optimize_session(
         journal.clear()
         _run_session(
             compiler, session, entry, opt_level, flags, cov, features,
-            result, journal, plan, stages, result_key, reuse=False,
+            result, journal, stages, reuse=False,
         )
 
 
 def _run_session(
-    compiler,
-    session,
-    entry,
-    opt_level,
-    flags,
-    cov,
-    features,
-    result,
-    journal,
-    plan,
-    stages,
-    result_key,
-    reuse,
+    compiler, session, entry, opt_level, flags, cov, features, result,
+    journal, stages, reuse,
 ) -> None:
     run = _SessionRun(
         compiler, session, entry, opt_level, flags, cov, features, journal,
-        plan, reuse,
+        reuse,
     )
     ok = run_middle(
         compiler, run, opt_level, flags, cov, features, result, stages
     )
-    with span(compiler.tracer, "session"):
-        if ok:
-            # Only a complete, successful run interns per-function records.
+    if ok:
+        # Only a complete, successful run interns per-function records.
+        with span(compiler.tracer, "session"):
             run.commit(result.module)
-        session.store_result(
-            result_key,
-            SessionResult(
-                ok=ok,
-                diagnostics=tuple(result.diagnostics),
-                asm=result.asm,
-                module=result.module,
-                features=dict(features),
-                edges=frozenset(cov.edges),
-                stages=tuple(stages),
-            ),
-        )
-
-
-def _replay_session_result(
-    memo: SessionResult, cov, features, result, stages
-) -> None:
-    """Re-apply a memoized compile outcome (same text, same options)."""
-    cov.edges.update(memo.edges)
-    result.diagnostics.extend(memo.diagnostics)
-    features.update(memo.features)
-    result.ok = memo.ok
-    result.asm = memo.asm
-    result.module = memo.module
-    for stage in memo.stages:
-        if stage not in stages:
-            stages.append(stage)

@@ -175,7 +175,8 @@ class MutationFuzzer(CoverageGuidedFuzzer):
     The part μCFuzz and the macro fuzzer share: the mutator set, the
     front-end cache that mutators and compiles go through (``use_cache=
     False`` runs without one), paranoid compiles and the per-mutator
-    circuit breaker.
+    circuit breaker, whose refusals both step loops count as
+    ``quarantine_skips`` through :meth:`_allows`.
     """
 
     def __init__(
@@ -200,12 +201,23 @@ class MutationFuzzer(CoverageGuidedFuzzer):
         self.paranoid = paranoid
         self.quarantine = quarantine
         self.stats["mutator_failures"] = 0
+        if quarantine is not None:
+            # Zero-filled up front: a cell that never skips still carries
+            # the key, so grid merge_stats summaries are schema-uniform.
+            self.stats["quarantine_skips"] = 0
 
     def stats_snapshot(self) -> dict:
         snap = super().stats_snapshot()
         if self.cache is not None:
             snap.update(self.cache.stats())
         return snap
+
+    def _allows(self, info: MutatorInfo) -> bool:
+        """Whether the quarantine lets ``info`` run; counts each refusal."""
+        if self.quarantine is None or self.quarantine.allows(info.name):
+            return True
+        self.stats["quarantine_skips"] += 1
+        return False
 
     def _mutate(self, text: str, info: MutatorInfo) -> tuple[str, tuple] | None:
         """The mutated text plus its edit script, or None on failure/no-op."""

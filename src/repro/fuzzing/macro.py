@@ -76,9 +76,7 @@ class MacroFuzzer(MutationFuzzer):
         last_edits: tuple = ()
         for _ in range(rounds):
             info = self.mutators[self.rng.randrange(len(self.mutators))]
-            if self.quarantine is not None and not self.quarantine.allows(
-                info.name
-            ):
+            if not self._allows(info):
                 continue
             mutated = self._mutate(mutant, info)
             if mutated is not None and len(mutated[0]) <= MAX_MUTANT_BYTES:

@@ -90,10 +90,6 @@ class MuCFuzz(MutationFuzzer):
         elif not mutator_stats and scheduler is not None:
             raise ValueError("a MutatorScheduler requires mutator_stats")
         self.stats.update({"steps": 0, "attempts": 0, "unchanged": 0})
-        if quarantine is not None:
-            # Zero-filled up front: a cell that never skips still carries
-            # the key, so grid merge_stats summaries are schema-uniform.
-            self.stats.setdefault("quarantine_skips", 0)
         if mutator_stats:
             self.stats["mutator_stats"] = zero_mutator_stats(
                 info.name for info in self.mutators
@@ -144,10 +140,7 @@ class MuCFuzz(MutationFuzzer):
 
         def requests():
             for info in order[:MAX_TRIES_PER_ITERATION]:
-                if self.quarantine is not None and not self.quarantine.allows(
-                    info.name
-                ):
-                    self.stats["quarantine_skips"] += 1
+                if not self._allows(info):
                     continue
                 self.stats["attempts"] += 1
                 mutated = self._mutate(parent.text, info)

@@ -55,6 +55,7 @@ STAGE_KEYS = (
     "parse",
     "sema",
     "frontend_incremental",
+    "frontend_summary",
     "irgen",
     "opt",
     "backend",

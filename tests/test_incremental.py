@@ -1,7 +1,7 @@
 """Incremental pipeline correctness: grafted front ends and replayed IR.
 
 The incremental machinery (dirty-region re-front-ending, per-decl summary
-grafting, session replay of clean functions) is pure performance — every
+memos on reused decl nodes, session replay of clean functions) is pure performance — every
 test here pins down the invariant it rests on: an incremental compile is
 observably identical to a from-scratch one.
 """
@@ -114,10 +114,11 @@ class TestGraftInvariant:
                     continue
                 if not outcome.changed or not outcome.edits:
                     continue
-                entry, plan = cache.front_end_incremental(
+                before = cache.incremental_hits
+                entry = cache.front_end_incremental(
                     outcome.mutant_text, parent, outcome.edits
                 )
-                if plan is None:
+                if cache.incremental_hits == before:
                     continue  # cache hit or ineligible edit → full path ran
                 assert_entries_equal(
                     entry, analyze_front_end(outcome.mutant_text)
@@ -180,6 +181,43 @@ class TestIncrementalCompileParity:
                 replayed += 1
         assert replayed >= 8
         assert session.hits > 0
+
+    def test_clean_decls_keep_their_summary_memo(self, monkeypatch):
+        """A mutant walks only its dirty decls: the shared prefix and the
+        shifted suffix clones carry their parent's ``_summary_memo``."""
+        from repro.compiler import GCC_SIM, CompileSession, Compiler
+        from repro.compiler import driver
+        from repro.compiler.driver import assert_results_equal
+
+        parent = (
+            "int g = 1;\n"
+            "int f(int a) { return a + 1; }\n"
+            "int h(int b) { return b * 2; }\n"
+            "int k(int c) { return c - 3; }\n"
+            "int main(void) { return f(g) + h(2) + k(3); }\n"
+        )
+        begin = parent.index("a + 1")
+        edits = ((begin, begin + len("a + 1"), "a + 10 * a"),)
+        mutant = _apply_script(parent, edits)
+        gcc = Compiler(*GCC_SIM)
+        cache = FrontendCache()
+        session = CompileSession()
+        assert gcc.compile(parent, cache=cache, session=session).ok
+
+        walked = []
+        real = driver._decl_summary
+        monkeypatch.setattr(
+            driver, "_decl_summary",
+            lambda decl, text: walked.append(decl) or real(decl, text),
+        )
+        result = gcc.compile(
+            mutant, cache=cache, edits_from=(parent, edits), session=session
+        )
+        assert cache.incremental_hits == 1
+        assert [decl.name for decl in walked] == ["f"]
+        assert_results_equal(
+            result, Compiler(*GCC_SIM, flat_native=False).compile(mutant)
+        )
 
     def test_paranoid_fuzzing_steps(self, gcc, registry, small_seeds):
         fuzzer = MuCFuzz(

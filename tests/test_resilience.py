@@ -9,6 +9,7 @@ import random
 import pytest
 
 from repro.fuzzing.campaign import Campaign, CampaignResult
+from repro.fuzzing.macro import MacroFuzzer
 from repro.fuzzing.mucfuzz import MuCFuzz
 from repro.fuzzing.parallel import CellOutcome, cell_key, run_cell, run_cells
 from repro.llm.client import APIError, LLMClient
@@ -216,14 +217,14 @@ def test_quarantine_trips_after_consecutive_failures():
     assert stats["quarantine_events"] == 1
 
 
-def test_fuzzer_quarantines_crashing_mutator(gcc, small_seeds):
+@pytest.mark.parametrize("fuzzer_cls", [MuCFuzz, MacroFuzzer])
+def test_fuzzer_quarantines_crashing_mutator(fuzzer_cls, gcc, small_seeds):
     quarantine = MutatorQuarantine(threshold=2)
-    fuzzer = MuCFuzz(
+    fuzzer = fuzzer_cls(
         gcc,
         random.Random(11),
         small_seeds,
         [_CRASH_INFO],
-        name="uCFuzz.q",
         quarantine=quarantine,
     )
     tripped_step = None
